@@ -165,7 +165,7 @@ def test_adaptive_recovery(benchmark, save_table):
         f"recovery at 8 threads: {recovery:.2f}x stock",
         f"  detect -> keep: {latency_ns} sim-ns "
         f"({kept.policy}, cap {CAP})",
-        f"  [saved to {json_path}]",
+        f"  [saved to results/{os.path.basename(json_path)}]",
     ]
     save_table("adaptive_recovery", "\n".join(lines))
 

@@ -4,7 +4,8 @@ The engine advances a single global clock (integer nanoseconds) through a
 priority queue of events.  Simulated tasks are generators that yield
 effect requests (:mod:`repro.sim.ops`); the engine prices each request
 using the cache model and topology, schedules its completion, and resumes
-the generator with the result.
+the generator with the result.  A completion that would be the very next
+event anyway resumes the task in place, without a trip through the heap.
 
 Determinism: the event heap breaks time ties by an insertion sequence
 number, the only randomness lives in the engine's seeded ``rng``, and the
@@ -42,6 +43,16 @@ __all__ = ["Engine"]
 _PARK_FASTPATH_NS = 30
 # Cost (ns) of a voluntary yield when the run queue is empty.
 _YIELD_NOOP_NS = 80
+# ``run()`` without ``until``: no completion is past the horizon.
+_NO_HORIZON = float("inf")
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+_RUNNING = TaskState.RUNNING
+_READY = TaskState.READY
+_SPINNING = TaskState.SPINNING
+_PARKED = TaskState.PARKED
+_DONE = TaskState.DONE
 
 
 class Engine:
@@ -71,6 +82,14 @@ class Engine:
         self._events_processed = 0
         self._next_tid = 1
         self._stopped = False
+        #: ``until`` of the run in progress; completions past it are pushed.
+        self._horizon = _NO_HORIZON
+        self._speed = tuple(topology.speed_of(cpu) for cpu in range(topology.nr_cpus))
+        # Hot counters, bound on first use so that a run which never
+        # switches, spins or finishes adds no zero-valued snapshot keys.
+        self._c_switches = None
+        self._c_spins = None
+        self._c_finished = None
 
         self._handlers: Dict[type, Callable] = {
             ops.Delay: self._h_delay,
@@ -157,16 +176,17 @@ class Engine:
         """
         heap = self._heap
         self._stopped = False
+        horizon = self._horizon = _NO_HORIZON if until is None else until
         while heap:
             if self._events_processed >= self.max_events:
                 raise SimLimitError(
                     f"exceeded max_events={self.max_events} at t={self.now}ns"
                 )
             time_ns, _seq, fn, arg = heap[0]
-            if until is not None and time_ns > until:
+            if time_ns > horizon:
                 self.now = until
                 return self.now
-            heapq.heappop(heap)
+            _heappop(heap)
             self._events_processed += 1
             self.now = time_ns
             fn(arg)
@@ -199,7 +219,7 @@ class Engine:
         if time_ns < self.now:
             time_ns = self.now  # never schedule into the past
         self._seq += 1
-        heapq.heappush(self._heap, (time_ns, self._seq, fn, arg))
+        _heappush(self._heap, (time_ns, self._seq, fn, arg))
 
     @staticmethod
     def _call(fn: Callable[[], None]) -> None:
@@ -214,44 +234,25 @@ class Engine:
         if cpu.current is None and self.now >= cpu.frozen_until:
             cpu.current = task
             cpu.dispatch_seq += 1
-            task.state = TaskState.RUNNING
+            task.state = _RUNNING
             self._arm_quantum(cpu)
-            self._step(task, None)
+            self._on_complete((task, None))
         else:
-            task.state = TaskState.READY
+            task.state = _READY
             task.has_pending_value = False
             cpu.enqueue(task)
             self._maybe_preempt_for(cpu, task)
             self._arm_quantum(cpu)
             self._dispatch(cpu)
 
-    def _step(self, task: Task, value: Any) -> None:
-        """Advance the task generator by one request."""
-        try:
-            if task.state is TaskState.NEW:
-                task.state = TaskState.RUNNING
-            request = task.gen.send(value)
-        except StopIteration as stop:
-            self._finish_task(task, stop.value)
-            return
-        except Exception as exc:  # body raised: record and re-raise
-            task.error = exc
-            task.state = TaskState.DONE
-            task.finish_time = self.now
-            self._release_cpu(task)
-            raise
-        handler = self._handlers.get(type(request))
-        if handler is None:
-            raise TaskError(
-                f"{task.name} yielded {request!r}, which is not a sim request"
-            )
-        handler(task, request)
-
     def _finish_task(self, task: Task, result: Any) -> None:
-        task.state = TaskState.DONE
+        task.state = _DONE
         task.result = result
         task.finish_time = self.now
-        self.stats.counter("sched.tasks_finished").inc()
+        counter = self._c_finished
+        if counter is None:
+            counter = self._c_finished = self.stats.counter("sched.tasks_finished")
+        counter.value += 1
         self._release_cpu(task)
 
     def _release_cpu(self, task: Task) -> None:
@@ -264,42 +265,87 @@ class Engine:
     # ------------------------------------------------------------------
     # Completion & scheduling
     # ------------------------------------------------------------------
-    def _complete(self, task: Task, result: Any, at: int) -> None:
-        self._at(at, self._on_complete, (task, result))
-
     def _on_complete(self, payload) -> None:
-        task, result = payload
-        if task.done:
-            return
-        cpu = self.cpus[task.cpu_id]
-        if cpu.frozen_until > self.now:
-            # vCPU descheduled: progress resumes at thaw.
-            self._at(cpu.frozen_until, self._on_complete, payload)
-            return
-        if cpu.current is not task:
-            # We were descheduled while the request was in flight; park the
-            # result and wait for a dispatch.
-            task.pending_value = result
-            task.has_pending_value = True
-            if task.state is not TaskState.READY:
-                task.state = TaskState.READY
+        """Deliver a request's result to its task and run the task on.
+
+        This is the event loop's inner loop: it resumes the generator,
+        prices the next request and, when that request is a pure cost
+        (the handler returns ``(finish, value)``), continues the task
+        inline instead of pushing the completion — but only when the
+        push would have been the very next pop anyway: ``finish`` is
+        strictly earlier than the heap head, within the run's ``until``
+        and ``max_events``, and ``stop()`` was not called.  The inlined
+        completion still counts as an event, so the event order, ``now``
+        and ``events_processed`` are exactly those of pushing it
+        (DESIGN.md §6).
+        """
+        task, value = payload
+        cpus = self.cpus
+        handlers = self._handlers
+        heap = self._heap
+        while True:
+            if task.state is _DONE:
+                return
+            cpu = cpus[task.cpu_id]
+            if cpu.frozen_until > self.now:
+                # vCPU descheduled: progress resumes at thaw.
+                self._at(cpu.frozen_until, self._on_complete, (task, value))
+                return
+            if cpu.current is not task:
+                # We were descheduled while the request was in flight; park
+                # the result and wait for a dispatch.
+                task.pending_value = value
+                task.has_pending_value = True
+                if task.state is not _READY:
+                    task.state = _READY
+                    cpu.enqueue(task)
+                    self._maybe_preempt_for(cpu, task)
+                    self._arm_quantum(cpu)
+                self._dispatch(cpu)
+                return
+            if task.preempt_pending and cpu.runqueue:
+                task.preempt_pending = False
+                task.pending_value = value
+                task.has_pending_value = True
+                task.state = _READY
+                cpu.current = None
                 cpu.enqueue(task)
-                self._maybe_preempt_for(cpu, task)
-                self._arm_quantum(cpu)
-            self._dispatch(cpu)
-            return
-        if task.preempt_pending and cpu.runqueue:
-            task.preempt_pending = False
-            task.pending_value = result
-            task.has_pending_value = True
-            task.state = TaskState.READY
-            cpu.current = None
-            cpu.enqueue(task)
-            self.stats.counter("sched.preemptions").inc()
-            self._dispatch(cpu)
-            return
-        task.state = TaskState.RUNNING
-        self._step(task, result)
+                self.stats.counter("sched.preemptions").inc()
+                self._dispatch(cpu)
+                return
+            task.state = _RUNNING
+            try:
+                request = task.gen.send(value)
+            except StopIteration as stop:
+                self._finish_task(task, stop.value)
+                return
+            except Exception as exc:  # body raised: record and re-raise
+                task.error = exc
+                task.state = _DONE
+                task.finish_time = self.now
+                self._release_cpu(task)
+                raise
+            try:
+                handler = handlers[type(request)]
+            except KeyError:
+                raise TaskError(
+                    f"{task.name} yielded {request!r}, which is not a sim request"
+                ) from None
+            step = handler(task, request)
+            if step is None:
+                return
+            finish, value = step
+            if (
+                (heap and finish >= heap[0][0])
+                or finish > self._horizon
+                or self._events_processed >= self.max_events
+                or self._stopped
+            ):
+                self._seq += 1
+                _heappush(heap, (finish, self._seq, self._on_complete, (task, value)))
+                return
+            self._events_processed += 1
+            self.now = finish
 
     def _dispatch(self, cpu: CPU) -> None:
         if cpu.current is not None:
@@ -308,28 +354,31 @@ class Engine:
             self._at(cpu.frozen_until, self._dispatch_cb, cpu)
             return
         nxt = cpu.pick_next()
-        if nxt is None or nxt.done:
+        if nxt is None or nxt.state is _DONE:
             return
         cpu.current = nxt
         cpu.dispatch_seq += 1
         nxt.preempt_pending = False
-        self.stats.counter("sched.context_switches").inc()
+        counter = self._c_switches
+        if counter is None:
+            counter = self._c_switches = self.stats.counter("sched.context_switches")
+        counter.value += 1
         self._arm_quantum(cpu)
-        cost = self.topology.latency.context_switch
+        resume = self.now + self.topology.latency.context_switch
         if nxt.has_pending_value:
-            nxt.state = TaskState.RUNNING
+            nxt.state = _RUNNING
             value = nxt.pending_value
             nxt.pending_value = None
             nxt.has_pending_value = False
-            self._complete(nxt, value, self.now + cost)
+            self._at(resume, self._on_complete, (nxt, value))
         elif nxt._spin_waiter is not None:
             # A spinner that was descheduled mid-WaitValue and whose cell
             # has not fired yet: it resumes spinning, no generator step.
-            nxt.state = TaskState.SPINNING
+            nxt.state = _SPINNING
         else:
             # Fresh task: first generator step receives None.
-            nxt.state = TaskState.RUNNING
-            self._complete(nxt, None, self.now + cost)
+            nxt.state = _RUNNING
+            self._at(resume, self._on_complete, (nxt, None))
 
     def _dispatch_cb(self, cpu: CPU) -> None:
         self._dispatch(cpu)
@@ -350,7 +399,7 @@ class Engine:
         cpu, task, seq = payload
         if cpu.current is not task or cpu.dispatch_seq != seq or not cpu.runqueue:
             return
-        if task.state is TaskState.SPINNING:
+        if task.state is _SPINNING:
             # A spinning waiter can be descheduled immediately: it has no
             # in-flight completion, only (possibly) armed cell waiters.
             self._deschedule_spinner(cpu, task)
@@ -364,7 +413,7 @@ class Engine:
         current = cpu.current
         if current is None or newcomer.priority <= current.priority:
             return
-        if current.state is TaskState.SPINNING:
+        if current.state is _SPINNING:
             self._deschedule_spinner(cpu, current)
         else:
             current.preempt_pending = True
@@ -372,7 +421,7 @@ class Engine:
     def _deschedule_spinner(self, cpu: CPU, task: Task) -> None:
         """Take the CPU from a task blocked in WaitValue."""
         cpu.current = None
-        task.state = TaskState.READY
+        task.state = _READY
         task.has_pending_value = False
         # The cell waiter stays armed; if it fires while we are off-CPU the
         # recheck path sees state READY and stores a pending value instead.
@@ -383,40 +432,48 @@ class Engine:
 
     # ------------------------------------------------------------------
     # Request handlers
+    #
+    # A handler whose request only costs time returns ``(finish, value)``
+    # and the caller completes the task at ``finish``; one that blocks,
+    # deschedules or schedules other events handles the completion
+    # itself and returns None.
     # ------------------------------------------------------------------
-    def _h_delay(self, task: Task, req: ops.Delay) -> None:
-        cost = int(req.ns * self.topology.speed_of(task.cpu_id))
-        self._complete(task, None, self.now + max(cost, 0))
+    def _h_delay(self, task: Task, req: ops.Delay):
+        cost = int(req.ns * self._speed[task.cpu_id])
+        return self.now + (cost if cost > 0 else 0), None
 
-    def _h_load(self, task: Task, req: ops.Load) -> None:
-        finish, value = self.cache.load(self.now, task.cpu_id, req.cell)
-        self._complete(task, value, finish)
+    def _h_load(self, task: Task, req: ops.Load):
+        return self.cache.load(self.now, task.cpu_id, req.cell)
 
-    def _h_store(self, task: Task, req: ops.Store) -> None:
+    def _h_store(self, task: Task, req: ops.Store):
         finish, _none, rechecks = self.cache.store(
             self.now, task.cpu_id, req.cell, req.value
         )
-        self._schedule_rechecks(rechecks)
-        self._complete(task, None, finish)
+        if rechecks:
+            self._schedule_rechecks(rechecks)
+        return finish, None
 
-    def _h_cas(self, task: Task, req: ops.CAS) -> None:
+    def _h_cas(self, task: Task, req: ops.CAS):
         finish, result, rechecks = self.cache.cas(
             self.now, task.cpu_id, req.cell, req.expected, req.new
         )
-        self._schedule_rechecks(rechecks)
-        self._complete(task, result, finish)
+        if rechecks:
+            self._schedule_rechecks(rechecks)
+        return finish, result
 
-    def _h_xchg(self, task: Task, req: ops.Xchg) -> None:
+    def _h_xchg(self, task: Task, req: ops.Xchg):
         finish, old, rechecks = self.cache.xchg(self.now, task.cpu_id, req.cell, req.value)
-        self._schedule_rechecks(rechecks)
-        self._complete(task, old, finish)
+        if rechecks:
+            self._schedule_rechecks(rechecks)
+        return finish, old
 
-    def _h_fetch_add(self, task: Task, req: ops.FetchAdd) -> None:
+    def _h_fetch_add(self, task: Task, req: ops.FetchAdd):
         finish, old, rechecks = self.cache.fetch_add(
             self.now, task.cpu_id, req.cell, req.delta
         )
-        self._schedule_rechecks(rechecks)
-        self._complete(task, old, finish)
+        if rechecks:
+            self._schedule_rechecks(rechecks)
+        return finish, old
 
     def _schedule_rechecks(self, rechecks) -> None:
         for waiter, at in rechecks:
@@ -428,25 +485,28 @@ class Engine:
 
     def _wait_first_check(self, payload) -> None:
         task, req = payload
-        if task.done:
+        if task.state is _DONE:
             return
         value = req.cell.value
         if req.pred(value):
-            self._complete(task, value, self.now)
+            self._at(self.now, self._on_complete, (task, value))
             return
         waiter = CellWaiter(task, req.pred)
         waiter_cell = req.cell
-        task.state = TaskState.SPINNING
+        task.state = _SPINNING
         task.tags.pop("_descheduled_spin", None)
         self.cache.add_waiter(waiter_cell, waiter)
         task._spin_waiter = (waiter_cell, waiter)
-        self.stats.counter("cache.local_spins").inc()
+        counter = self._c_spins
+        if counter is None:
+            counter = self._c_spins = self.stats.counter("cache.local_spins")
+        counter.value += 1
 
     def _waiter_recheck(self, waiter: CellWaiter) -> None:
         if waiter.cancelled:
             return
         task = waiter.task
-        if task.done or task._spin_waiter is None:
+        if task.state is _DONE or task._spin_waiter is None:
             return
         cell, _w = task._spin_waiter
         # The recheck is a read: the spinner holds a shared copy again,
@@ -460,16 +520,16 @@ class Engine:
         self.cache.remove_waiter(cell, waiter)
         task._spin_waiter = None
         cpu = self.cpus[task.cpu_id]
-        if task.state is TaskState.SPINNING and cpu.current is task:
-            task.state = TaskState.RUNNING
-            self._complete(task, value, self.now)
+        if task.state is _SPINNING and cpu.current is task:
+            task.state = _RUNNING
+            self._at(self.now, self._on_complete, (task, value))
         else:
             # We were descheduled mid-spin (quantum or priority preemption):
             # deliver the value when we next get the CPU.
             task.pending_value = value
             task.has_pending_value = True
-            if task.state is not TaskState.READY:
-                task.state = TaskState.READY
+            if task.state is not _READY:
+                task.state = _READY
                 cpu.enqueue(task)
             task.tags.pop("_descheduled_spin", None)
             self._dispatch(cpu)
@@ -477,19 +537,18 @@ class Engine:
     # ------------------------------------------------------------------
     # Park / unpark (futex semantics)
     # ------------------------------------------------------------------
-    def _h_park(self, task: Task, req: ops.Park) -> None:
-        self._park_common(task, timeout_ns=None)
+    def _h_park(self, task: Task, req: ops.Park):
+        return self._park_common(task, None)
 
-    def _h_park_timeout(self, task: Task, req: ops.ParkTimeout) -> None:
-        self._park_common(task, timeout_ns=req.ns)
+    def _h_park_timeout(self, task: Task, req: ops.ParkTimeout):
+        return self._park_common(task, req.ns)
 
-    def _park_common(self, task: Task, timeout_ns: Optional[int]) -> None:
+    def _park_common(self, task: Task, timeout_ns: Optional[int]):
         if task.park_token:
             task.park_token = False
-            self._complete(task, True, self.now + _PARK_FASTPATH_NS)
-            return
+            return self.now + _PARK_FASTPATH_NS, True
         lat = self.topology.latency
-        task.state = TaskState.PARKED
+        task.state = _PARKED
         task.wake_epoch += 1
         epoch = task.wake_epoch
         cpu = self.cpus[task.cpu_id]
@@ -503,13 +562,13 @@ class Engine:
 
     def _park_timeout_fire(self, payload) -> None:
         task, epoch = payload
-        if task.state is TaskState.PARKED and task.wake_epoch == epoch:
+        if task.state is _PARKED and task.wake_epoch == epoch:
             self._wake(task, woken=False)
 
     def _h_unpark(self, task: Task, req: ops.Unpark) -> None:
         target = req.task
         lat = self.topology.latency
-        self._complete(task, None, self.now + lat.wake_cost)
+        self._at(self.now + lat.wake_cost, self._on_complete, (task, None))
         self._at(self.now, self._do_unpark, target)
 
     def unpark_external(self, target: Task) -> None:
@@ -517,9 +576,9 @@ class Engine:
         self._do_unpark(target)
 
     def _do_unpark(self, target: Task) -> None:
-        if target.done:
+        if target.state is _DONE:
             return
-        if target.state is TaskState.PARKED:
+        if target.state is _PARKED:
             lat = self.topology.latency
             target.wake_epoch += 1
             self._at(self.now + lat.wake_latency, self._wake_cb, target)
@@ -527,7 +586,7 @@ class Engine:
             target.park_token = True
 
     def _wake_cb(self, target: Task) -> None:
-        if target.state is TaskState.PARKED:
+        if target.state is _PARKED:
             self._wake(target, woken=True)
 
     def _wake(self, task: Task, woken: bool) -> None:
@@ -535,19 +594,18 @@ class Engine:
         cpu = self.cpus[task.cpu_id]
         task.pending_value = woken
         task.has_pending_value = True
-        task.state = TaskState.READY
+        task.state = _READY
         cpu.enqueue(task)
         self._maybe_preempt_for(cpu, task)
         self._arm_quantum(cpu)
         self._dispatch(cpu)
 
     # ------------------------------------------------------------------
-    def _h_yield(self, task: Task, req: ops.YieldCPU) -> None:
+    def _h_yield(self, task: Task, req: ops.YieldCPU):
         cpu = self.cpus[task.cpu_id]
         if not cpu.runqueue:
-            self._complete(task, None, self.now + _YIELD_NOOP_NS)
-            return
-        task.state = TaskState.READY
+            return self.now + _YIELD_NOOP_NS, None
+        task.state = _READY
         task.pending_value = None
         task.has_pending_value = True
         cpu.current = None

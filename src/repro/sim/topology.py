@@ -110,6 +110,14 @@ class Topology:
         self._socket_of: Tuple[int, ...] = tuple(
             cpu // cores_per_socket for cpu in range(self.nr_cpus)
         )
+        # Flat nr_cpus x nr_cpus cost tables for the cache model's hot
+        # path, indexed ``from_cpu * nr_cpus + to_cpu`` and unchecked.
+        # hops() and transfer_ns() below stay the definition.
+        cpus = range(self.nr_cpus)
+        self.hop_table: Tuple[int, ...] = tuple(self.hops(a, b) for a in cpus for b in cpus)
+        self.transfer_table: Tuple[int, ...] = tuple(
+            self.transfer_ns(a, b) for a in cpus for b in cpus
+        )
 
     # ------------------------------------------------------------------
     # Lookups

@@ -41,6 +41,44 @@ class TestLayout:
             Topology(sockets=2, cores_per_socket=1, numa_distance=[[0]])
 
 
+class TestCostTables:
+    """The flat tables the cache model reads match the public lookups."""
+
+    @pytest.mark.parametrize(
+        "topo",
+        [
+            paper_machine(),
+            amp_machine(),
+            # Not symmetric: a transposed table index would show.
+            Topology(
+                sockets=3,
+                cores_per_socket=2,
+                numa_distance=[[0, 1, 3], [2, 0, 1], [1, 4, 0]],
+            ),
+        ],
+        ids=["paper", "amp", "asymmetric"],
+    )
+    def test_tables_match_public_lookups(self, topo):
+        n = topo.nr_cpus
+        assert len(topo.hop_table) == len(topo.transfer_table) == n * n
+        for a in range(n):
+            for b in range(n):
+                assert topo.hop_table[a * n + b] == topo.hops(a, b)
+                assert topo.transfer_table[a * n + b] == topo.transfer_ns(a, b)
+
+    @pytest.mark.parametrize("topo", [paper_machine(), amp_machine()], ids=["paper", "amp"])
+    def test_public_lookups_keep_range_checks(self, topo):
+        bad = topo.nr_cpus
+        with pytest.raises(TopologyError):
+            topo.hops(0, bad)
+        with pytest.raises(TopologyError):
+            topo.hops(bad, 0)
+        with pytest.raises(TopologyError):
+            topo.transfer_ns(bad, 0)
+        with pytest.raises(TopologyError):
+            topo.socket_of(bad)
+
+
 class TestLatency:
     def test_same_cpu_is_l1(self):
         topo = Topology(sockets=2, cores_per_socket=2)
