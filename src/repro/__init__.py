@@ -30,7 +30,7 @@ Quickstart::
     concord.load_policy(make_numa_policy(lock_selector="*"))
 """
 
-from . import bpf, concord, kernel, livepatch, locks, sim, tools, userspace, workloads
+from . import bpf, concord, kernel, livepatch, locks, sim, userspace, workloads
 from .concord import Concord, LockProfiler, PolicySpec
 from .kernel import VFS, AddressSpace, Kernel
 from .sim import Engine, LatencyModel, Topology, amp_machine, paper_machine
@@ -44,7 +44,6 @@ __all__ = [
     "livepatch",
     "locks",
     "sim",
-    "tools",
     "userspace",
     "workloads",
     "Concord",

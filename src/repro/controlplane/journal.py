@@ -10,8 +10,8 @@ simulation maps to a host path (or to memory for tests).
 
 Integrity: every line is framed by :mod:`repro.storage.record` — a v2
 envelope carrying a CRC32 and a monotonic sequence number — so replay
-distinguishes a torn write from silent rot; journals written before the
-framing (v1, bare entry dicts) read transparently.  :meth:`compact`
+distinguishes a torn write from silent rot; an unframed line is
+corruption like any other.  :meth:`compact`
 folds the whole committed log into a checksummed snapshot beside the
 file (``<path>.snapshot``) and truncates the log; replay then walks
 snapshot + tail and reconstructs exactly what the uncompacted log
@@ -316,17 +316,16 @@ class PolicyJournal:
                     line=lineno,
                     member=self.member,
                 ) from None
-            if seq is not None:
-                if seq <= prev_seq:
-                    raise JournalCorruption(
-                        f"{self.path}: journal line {lineno}{self._member_tag()}: "
-                        f"seq {seq} does not advance past {prev_seq} "
-                        f"(not a torn write — sequence numbers only grow)",
-                        path=self.path,
-                        line=lineno,
-                        member=self.member,
-                    )
-                prev_seq = seq
+            if seq <= prev_seq:
+                raise JournalCorruption(
+                    f"{self.path}: journal line {lineno}{self._member_tag()}: "
+                    f"seq {seq} does not advance past {prev_seq} "
+                    f"(not a torn write — sequence numbers only grow)",
+                    path=self.path,
+                    line=lineno,
+                    member=self.member,
+                )
+            prev_seq = seq
             parsed.append(entry)
         return parsed, prev_seq
 
@@ -408,7 +407,7 @@ class PolicyJournal:
                     continue
                 try:
                     seq, entry = decode_record(line)
-                    if seq is not None and seq <= prev_seq:
+                    if seq <= prev_seq:
                         raise RecordCorruption(
                             f"seq {seq} does not advance past {prev_seq}"
                         )
@@ -419,8 +418,7 @@ class PolicyJournal:
                         1 for rest in lines[lineno - 1 :] if rest.strip()
                     )
                     break
-                if seq is not None:
-                    prev_seq = seq
+                prev_seq = seq
                 parsed.append(entry)
                 good_lines.append(line)
             if bad_line is not None:

@@ -237,8 +237,7 @@ class ReplicaGroup:
         if ship_base:
             site.install_snapshot(self.leader.base, self.leader.base_seq)
         for seq in missing:
-            raw = self.leader.log[seq]
-            site.log[seq] = dict(raw) if isinstance(raw, dict) else raw
+            site.log[seq] = self.leader.log[seq]
         if missing:
             site.mark_committed(missing[-1])
 
@@ -369,9 +368,7 @@ class ReplicaGroup:
         site.base = source.base
         site.base_seq = source.base_seq
         site.log = {
-            seq: (dict(raw) if isinstance(raw, dict) else raw)
-            for seq, raw in source.log.items()
-            if seq <= self.commit_index
+            seq: raw for seq, raw in source.log.items() if seq <= self.commit_index
         }
         site.commit_index = self.commit_index
         site.lease_epoch_seen = max(site.lease_epoch_seen, self.lease_epoch)

@@ -23,6 +23,10 @@ ACTIVE policy re-attached with the same hook programs and lock impls,
 the crashed canary ROLLED_BACK with its installation gone, journal and
 audit in agreement — then trips the runtime circuit breaker on the
 survivor and asserts fail-open degradation to stock lock behaviour.
+
+Every scenario is written in the scenario kit (:mod:`.scenario`): its
+worlds, checks, and fleet predicates are built there, once, and each
+subcommand's options come from one argument table (``_OPTIONS``).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import argparse
 import os
 import sys
 import tempfile
-from typing import List
 
 from ..bpf.maps import HashMap
 from ..concord import Concord
@@ -59,17 +62,9 @@ from ..faults import (
     InjectedCrash,
     injected,
 )
-from ..fleet import (
-    FleetCoordinator,
-    FleetManager,
-    FleetRolloutState,
-    HealthMonitor,
-    PlacementMap,
-    RolloutPlanner,
-)
+from ..fleet import FleetCoordinator, FleetRolloutState, HealthMonitor
 from ..fleet.planner import FleetPlan, WaveSpec
-from ..kernel import Kernel
-from ..locks import MCSLock, ShflLock, SpinParkMutex
+from ..locks import MCSLock, SpinParkMutex
 from ..locks.culling import CullingLock
 from ..locks.base import HOOK_CMP_NODE, HOOK_LOCK_ACQUIRED
 from ..netsim import Fabric, LinkModel, PartitionEvent, PartitionSchedule
@@ -81,7 +76,7 @@ from ..replication import (
     StaleLeaderFenced,
     TxnStatus,
 )
-from ..sim import Topology, ops
+from ..sim import Topology
 from ..storage import Scrubber, flip_byte, fold_entries
 from ..traffic import (
     LockBinding,
@@ -94,6 +89,22 @@ from ..traffic import (
 )
 from ..userspace import PolicyClient
 from ..workloads import MalthusianBench, format_sweep_table, knee_threads, sweep
+from .scenario import (
+    Checks,
+    fleet_active,
+    fleet_events,
+    learn_placement,
+    member_stock,
+    pooled_fleet,
+    print_fleet_audit,
+    require,
+    rollout_windows,
+    shard_fleet,
+    shard_kernel,
+    spawn_fleet_workload,
+    spawn_shard_workload,
+    wave_planner,
+)
 
 __all__ = [
     "main",
@@ -222,50 +233,32 @@ def tail_spike_submission(
     )
 
 
-def _spawn_shard_workload(kernel, stop_at: int, tasks_per_lock: int, cs_ns: int) -> List:
-    tasks = []
-    cpu = 0
-    for name in kernel.locks.select_names("svc.*.lock"):
-        site = kernel.locks.get(name)
-        for _ in range(tasks_per_lock):
-
-            def worker(task, site=site):
-                task.stats["ops"] = 0
-                while task.engine.now < stop_at:
-                    yield from site.acquire(task)
-                    yield ops.Delay(cs_ns)
-                    yield from site.release(task)
-                    task.stats["ops"] += 1
-                    yield ops.Delay(120)
-
-            tasks.append(kernel.spawn(worker, cpu=cpu % kernel.topology.nr_cpus))
-            cpu += 1
-    return tasks
+def _on_each_kernel(args, scenario: str, run_once) -> int:
+    """Run ``run_once(index, seed)`` on ``--kernels`` independent
+    kernels, kernel ``index`` seeded ``--seed + index`` — every one must
+    pass.  One kernel (the default) prints no per-kernel header."""
+    if not require(scenario, "--kernels", args.kernels, 1):
+        return 2
+    status = 0
+    for index in range(args.kernels):
+        seed = args.seed + index
+        if args.kernels > 1:
+            if index:
+                print()
+            print(f"=== kernel k{index} (seed {seed}) ===")
+        if run_once(index, seed) != 0:
+            status = 1
+    return status
 
 
 def run_rollout_scenario(args) -> int:
     """One kernel by default; ``--kernels N`` repeats the scenario on N
     independent kernels (seed offset per kernel) — every one must pass."""
-    nr_kernels = getattr(args, "kernels", 1)
-    status = 0
-    for index in range(nr_kernels):
-        if nr_kernels > 1:
-            if index:
-                print()
-            print(f"=== kernel k{index} (seed {args.seed + index}) ===")
-        if _rollout_once(args, seed=args.seed + index) != 0:
-            status = 1
-    return status
+    return _on_each_kernel(args, "rollout", lambda index, seed: _rollout_once(args, seed))
 
 
 def _rollout_once(args, seed: int) -> int:
-    kernel = Kernel(
-        Topology(sockets=args.sockets, cores_per_socket=args.cores), seed=seed
-    )
-    for index in range(args.locks):
-        kernel.add_lock(
-            f"svc.shard{index}.lock", ShflLock(kernel.engine, name=f"shard{index}")
-        )
+    kernel = shard_kernel(args.sockets, args.cores, seed, args.locks)
     concord = Concord(kernel)
     daemon = Concordd(
         concord,
@@ -276,27 +269,18 @@ def _rollout_once(args, seed: int) -> int:
     bob = PolicyClient.connect(daemon, "bob", allowed_selectors=("svc.*",))
 
     stop_at = kernel.now + args.duration_ns
-    tasks = _spawn_shard_workload(kernel, stop_at, args.tasks_per_lock, args.cs_ns)
+    tasks = spawn_shard_workload(kernel, stop_at, args.tasks_per_lock, args.cs_ns)
 
     window = args.duration_ns // 8
+    windows = dict(baseline_ns=window, canary_ns=2 * window, check_every_ns=window // 4)
     alice.submit(bad_numa_submission("svc.*.lock"))
-    bad = alice.rollout(
-        "bad-numa",
-        baseline_ns=window,
-        canary_ns=2 * window,
-        check_every_ns=window // 4,
-    )
+    bad = alice.rollout("bad-numa", **windows)
     bob.submit(
         PolicySubmission(
             spec=make_numa_policy(lock_selector="svc.*.lock", name="numa-good")
         )
     )
-    good = bob.rollout(
-        "numa-good",
-        baseline_ns=window,
-        canary_ns=2 * window,
-        check_every_ns=window // 4,
-    )
+    good = bob.rollout("numa-good", **windows)
     kernel.run()  # drain the workload
 
     print(f"bad policy  : {bad.state.name:<12} {bad.verdict.describe()}")
@@ -360,28 +344,17 @@ def _doomed_submission() -> PolicySubmission:
     )
 
 
-def _check(failures: List[str], ok: bool, what: str) -> None:
-    print(f"  [{'ok' if ok else 'FAIL'}] {what}")
-    if not ok:
-        failures.append(what)
-
-
 def run_drill_scenario(args) -> int:
     """One kernel by default; ``--kernels N`` drills N independent
     kernels, each over its own journal shard (``<path>.kI``)."""
-    nr_kernels = getattr(args, "kernels", 1)
-    status = 0
-    for index in range(nr_kernels):
-        if nr_kernels > 1:
-            if index:
-                print()
-            print(f"=== kernel k{index} (seed {args.seed + index}) ===")
+
+    def drill(index, seed):
         journal = args.journal
-        if journal is not None and nr_kernels > 1:
+        if journal is not None and args.kernels > 1:
             journal = f"{journal}.k{index}"
-        if _drill_once(args, seed=args.seed + index, journal=journal) != 0:
-            status = 1
-    return status
+        return _drill_once(args, seed, journal)
+
+    return _on_each_kernel(args, "drill", drill)
 
 
 def _drill_once(args, seed: int, journal: str | None) -> int:
@@ -389,19 +362,13 @@ def _drill_once(args, seed: int, journal: str | None) -> int:
         tempfile.mkdtemp(prefix="concordd-drill-"), "journal.jsonl"
     )
     registry = {"spin_park": _spin_park}
-    kernel = Kernel(
-        Topology(sockets=args.sockets, cores_per_socket=args.cores), seed=seed
-    )
-    for index in range(args.locks):
-        kernel.add_lock(
-            f"svc.shard{index}.lock", ShflLock(kernel.engine, name=f"shard{index}")
-        )
+    kernel = shard_kernel(args.sockets, args.cores, seed, args.locks)
     concord = Concord(kernel, fault_threshold=5)
     selector_locks = kernel.locks.select_names("svc.*.lock")
     original_impls = {
         name: kernel.locks.get(name).core.impl for name in selector_locks
     }
-    failures: List[str] = []
+    check = Checks()
 
     daemon_a = Concordd(
         concord,
@@ -411,7 +378,7 @@ def _drill_once(args, seed: int, journal: str | None) -> int:
     )
     ops_client = PolicyClient.connect(daemon_a, "ops", allowed_selectors=("svc.*",))
     window = args.duration_ns // 8
-    tasks = _spawn_shard_workload(
+    tasks = spawn_shard_workload(
         kernel, kernel.now + args.duration_ns, args.tasks_per_lock, args.cs_ns
     )
 
@@ -419,7 +386,7 @@ def _drill_once(args, seed: int, journal: str | None) -> int:
     print(f"phase 1: steady policy rollout (journal: {journal_path})")
     ops_client.submit(_steady_submission())
     steady_a = ops_client.rollout("steady", baseline_ns=window, canary_ns=window)
-    _check(failures, steady_a.state is PolicyState.ACTIVE, "steady is ACTIVE")
+    check(steady_a.state is PolicyState.ACTIVE, "steady is ACTIVE")
     steady_programs = {
         name: concord.policies[name].program for name in ("steady",)
     }
@@ -442,9 +409,9 @@ def _drill_once(args, seed: int, journal: str | None) -> int:
     except InjectedCrash:
         crashed = True
     daemon_a.detach()  # the process is gone; nothing was torn down
-    _check(failures, crashed, "InjectedCrash unwound the rollout, no teardown ran")
-    _check(failures, "doomed" in concord.policies, "doomed's canary programs still loaded")
-    _check(failures, bool(kernel.patcher.active), "doomed's impl patches still active")
+    check(crashed, "InjectedCrash unwound the rollout, no teardown ran")
+    check("doomed" in concord.policies, "doomed's canary programs still loaded")
+    check(bool(kernel.patcher.active), "doomed's impl patches still active")
 
     # -- phase 3: restart + recover under verifier flakes --------------
     print("phase 3: new daemon recovers from the journal (flaky verifier)")
@@ -460,31 +427,27 @@ def _drill_once(args, seed: int, journal: str | None) -> int:
         summary = daemon_b.recover()
     steady_b = daemon_b.status("steady")
     doomed_b = daemon_b.status("doomed")
-    _check(failures, summary["reattached"] == ["steady"], "recover() re-attached steady")
-    _check(failures, steady_b.state is PolicyState.ACTIVE, "steady still ACTIVE after recovery")
-    _check(
-        failures,
+    check(summary["reattached"] == ["steady"], "recover() re-attached steady")
+    check(steady_b.state is PolicyState.ACTIVE, "steady still ACTIVE after recovery")
+    check(
         concord.policies["steady"].program is steady_programs["steady"]
         and sorted(concord.policies["steady"].attached_locks) == selector_locks,
         "steady's hook program unchanged and attached to every target lock",
     )
-    _check(failures, doomed_b.state is PolicyState.ROLLED_BACK, "doomed is ROLLED_BACK")
-    _check(failures, not kernel.patcher.active, "doomed's impl patches reverted")
-    _check(
-        failures,
+    check(doomed_b.state is PolicyState.ROLLED_BACK, "doomed is ROLLED_BACK")
+    check(not kernel.patcher.active, "doomed's impl patches reverted")
+    check(
         flake_plan.fired["concord.verifier"] == 2,
         "recovery retried through 2 injected verifier flakes",
     )
     journal = PolicyJournal(journal_path)
-    _check(
-        failures,
+    check(
         journal.last_transition("steady")["to"] == steady_b.state.name
         and journal.last_transition("doomed")["to"] == doomed_b.state.name,
         "journal and audit agree on both final states",
     )
     kernel.run(until=kernel.now + window)  # let revert drains finish
-    _check(
-        failures,
+    check(
         all(
             kernel.locks.get(name).core.impl is original_impls[name]
             for name in selector_locks
@@ -513,21 +476,18 @@ def _drill_once(args, seed: int, journal: str | None) -> int:
     after_faulting = total_ops()
     kernel.run(until=kernel.now + window)
     stock_ops = total_ops() - after_faulting  # window 3: pure stock
-    _check(failures, steady_b.state is PolicyState.ROLLED_BACK, "breaker rolled steady back")
-    _check(failures, "steady" not in concord.policies, "steady's programs detached")
-    _check(
-        failures,
+    check(steady_b.state is PolicyState.ROLLED_BACK, "breaker rolled steady back")
+    check("steady" not in concord.policies, "steady's programs detached")
+    check(
         all(not concord.chain(name, HOOK_LOCK_ACQUIRED) for name in selector_locks),
         "no hook chain left on any lock (stock behaviour)",
     )
-    _check(
-        failures,
+    check(
         stock_ops >= active_ops,
         f"stock lock out-produces the policy-attached window "
         f"({stock_ops} vs {active_ops} ops): the detach is measurable",
     )
-    _check(
-        failures,
+    check(
         PolicyJournal(journal_path).last_transition("steady")["to"] == "ROLLED_BACK",
         "the fail-open rollback was journaled",
     )
@@ -536,49 +496,13 @@ def _drill_once(args, seed: int, journal: str | None) -> int:
     if args.audit:
         print("\naudit log:")
         print(daemon_b.audit.format())
-    if failures:
-        print(f"\ndrill FAILED ({len(failures)} check(s)):", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("\ndrill passed: crash, recovery, and fail-open all behaved")
-    return 0
+    return check.verdict("drill", "passed: crash, recovery, and fail-open all behaved")
 
 
 def _good_numa_factory(member) -> PolicySubmission:
     return PolicySubmission(
         spec=make_numa_policy(lock_selector="svc.*.lock", name="numa-good")
     )
-
-
-def _build_fleet(args, journal_dir: str) -> FleetManager:
-    """``--kernels`` members, k0 quiet (the canary pick), the rest busy,
-    each with its own journal shard under ``journal_dir``."""
-    fleet = FleetManager()
-    for index in range(args.kernels):
-        kernel = Kernel(
-            Topology(sockets=args.sockets, cores_per_socket=args.cores),
-            seed=args.seed + index,
-        )
-        nr_locks = 2 if index == 0 else args.locks
-        for i in range(nr_locks):
-            kernel.add_lock(
-                f"svc.shard{i}.lock", ShflLock(kernel.engine, name=f"shard{i}")
-            )
-        fleet.register(
-            f"k{index}",
-            kernel,
-            guard=SLOGuard(max_avg_wait_regression=args.max_regression),
-            canary_fraction=0.5,
-            journal=PolicyJournal(
-                os.path.join(journal_dir, f"journal.k{index}.jsonl")
-            ),
-        )
-        tasks_per_lock = 1 if index == 0 else args.tasks_per_lock
-        _spawn_shard_workload(
-            kernel, kernel.now + args.duration_ns, tasks_per_lock, args.cs_ns
-        )
-    return fleet
 
 
 def run_fleet_scenario(args) -> int:
@@ -596,73 +520,51 @@ def run_fleet_scenario(args) -> int:
        partial fleet; a fresh coordinator over the on-disk journals
        resumes wave 1 and converges — never a split fleet.
     """
-    if args.kernels < 3:
-        print("error: fleet scenario needs --kernels >= 3", file=sys.stderr)
+    if not require("fleet", "--kernels", args.kernels, 3):
         return 2
     journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="concordd-fleet-")
     fleet_journal_path = os.path.join(journal_dir, "fleet.jsonl")
-    failures: List[str] = []
-    fleet = _build_fleet(args, journal_dir)
+    check = Checks()
+    fleet, _ = shard_fleet(args, journal_dir)
 
     print(f"fleet of {len(fleet)} kernels (journals: {journal_dir})")
-    placement = PlacementMap.learn(fleet, "svc.*.lock", window_ns=args.duration_ns // 20)
+    placement = learn_placement(fleet, args)
     print(placement.describe())
 
-    window = args.duration_ns // 10
-    rollout_kwargs = dict(
-        baseline_ns=window, canary_ns=2 * window, check_every_ns=window // 4
-    )
-    planner = RolloutPlanner(
-        max_concurrent_kernels=args.max_concurrent_kernels,
-        canary_kernels=1,
-        bake_ns=window // 2,
-    )
+    windows = rollout_windows(args)
+    planner = wave_planner(args)
     coordinator = FleetCoordinator(fleet, journal=PolicyJournal(fleet_journal_path))
-
-    def fleet_stock(policy):
-        return all(
-            (member.daemon.records.get(policy) is None
-             or not member.daemon.records[policy].live)
-            and policy not in member.concord.policies
-            for member in fleet.members()
-        )
-
-    def fleet_active(policy):
-        return all(
-            (record := member.daemon.records.get(policy)) is not None
-            and record.state is PolicyState.ACTIVE
-            for member in fleet.members()
-        )
 
     # -- phase 1: bad policy halts the fleet ---------------------------
     print("\nphase 1: bad NUMA policy — cross-kernel breach must halt the fleet")
     plan = planner.plan("bad-numa", placement)
     print(plan.describe())
-    _check(failures, len(plan.waves) >= 2, f"plan rolls out in {len(plan.waves)} waves")
-    _check(
-        failures,
+    check(len(plan.waves) >= 2, f"plan rolls out in {len(plan.waves)} waves")
+    check(
         plan.waves[0].canary and plan.waves[0].kernels == ["k0"],
         "canary wave is the lowest-blast-radius kernel (k0)",
     )
     bad = coordinator.execute(
-        plan, lambda member: bad_numa_submission("svc.*.lock"), **rollout_kwargs
+        plan, lambda member: bad_numa_submission("svc.*.lock"), **windows
     )
     print(bad.describe())
-    _check(failures, bad.state is FleetRolloutState.HALTED, "fleet verdict HALTED the rollout")
-    _check(
-        failures,
+    check(bad.state is FleetRolloutState.HALTED, "fleet verdict HALTED the rollout")
+    check(
         any(state != "ACTIVE" for state in bad.outcomes.values()),
         "at least one cohort kernel breached its canary",
     )
-    _check(failures, fleet_stock("bad-numa"), "every patched kernel reverted to stock")
+    check(
+        all(member_stock(fleet, k, "bad-numa") for k in fleet.names()),
+        "every patched kernel reverted to stock",
+    )
 
     # -- phase 2: good policy goes fleet-wide --------------------------
     print("\nphase 2: good NUMA policy — same waves, fleet-wide ACTIVE")
     plan = planner.plan("numa-good", placement)
-    good = coordinator.execute(plan, _good_numa_factory, **rollout_kwargs)
+    good = coordinator.execute(plan, _good_numa_factory, **windows)
     print(good.describe())
-    _check(failures, good.state is FleetRolloutState.COMPLETE, "rollout COMPLETE")
-    _check(failures, fleet_active("numa-good"), "numa-good ACTIVE on every kernel")
+    check(good.state is FleetRolloutState.COMPLETE, "rollout COMPLETE")
+    check(fleet_active(fleet, "numa-good"), "numa-good ACTIVE on every kernel")
 
     # -- phase 3: mid-wave crash, recover from journals ----------------
     print("\nphase 3: daemon killed between waves; recovery resumes, never splits")
@@ -672,19 +574,13 @@ def run_fleet_scenario(args) -> int:
     crashed = False
     try:
         with injected(kill_plan):
-            coordinator.execute(
-                plan, lambda member: _steady_submission(), **rollout_kwargs
-            )
+            coordinator.execute(plan, lambda member: _steady_submission(), **windows)
     except InjectedCrash:
         crashed = True
-    _check(failures, crashed, "InjectedCrash killed the coordinator entering wave 1")
+    check(crashed, "InjectedCrash killed the coordinator entering wave 1")
     wave0 = plan.waves[0].kernels
-    _check(
-        failures,
-        all(
-            fleet.member(k).daemon.records["steady"].state is PolicyState.ACTIVE
-            for k in wave0
-        )
+    check(
+        fleet_active(fleet, "steady", wave0)
         and all(
             "steady" not in fleet.member(k).daemon.records
             for k in plan.kernels()
@@ -693,32 +589,25 @@ def run_fleet_scenario(args) -> int:
         "crash left a partial fleet (wave 0 patched, later waves not)",
     )
     fresh = FleetCoordinator(fleet, journal=PolicyJournal(fleet_journal_path))
-    resumed = fresh.recover(lambda member: _steady_submission(), **rollout_kwargs)
+    resumed = fresh.recover(lambda member: _steady_submission(), **windows)
     print(resumed.describe() if resumed is not None else "recovery: nothing in flight")
-    _check(
-        failures,
+    check(
         resumed is not None and resumed.state is FleetRolloutState.COMPLETE,
         "recovery resumed the remaining waves to COMPLETE",
     )
-    _check(
-        failures,
+    check(
         resumed is not None and resumed.resumed_from_wave == 1,
         "recovery resumed from wave 1 (completed wave trusted)",
     )
-    _check(failures, fleet_active("steady"), "steady ACTIVE on every kernel — no split fleet")
+    check(fleet_active(fleet, "steady"), "steady ACTIVE on every kernel — no split fleet")
 
     if args.audit:
-        for member in fleet.members():
-            print(f"\naudit log ({member.name}):")
-            print(member.daemon.audit.format())
-    if failures:
-        print(f"\nfleet scenario FAILED ({len(failures)} check(s)):", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("\nfleet scenario passed: halt-and-revert, fleet-wide rollout, "
-          "and mid-wave crash recovery all behaved")
-    return 0
+        print_fleet_audit(fleet)
+    return check.verdict(
+        "fleet scenario",
+        "passed: halt-and-revert, fleet-wide rollout, "
+        "and mid-wave crash recovery all behaved",
+    )
 
 
 def _kill_member_at_bake(victim: str, seed: int) -> FaultPlan:
@@ -758,53 +647,26 @@ def run_fleet_degraded_scenario(args) -> int:
        reinstate + recover the debt is drained and a fresh fleet-wide
        rollout reaches ACTIVE on every kernel.
     """
-    if args.kernels < 4:
-        print("error: fleet-degraded scenario needs --kernels >= 4", file=sys.stderr)
+    if not require("fleet-degraded", "--kernels", args.kernels, 4):
         return 2
     journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="concordd-degraded-")
     fleet_journal_path = os.path.join(journal_dir, "fleet.jsonl")
-    failures: List[str] = []
-    fleet = _build_fleet(args, journal_dir)
+    check = Checks()
+    fleet, _ = shard_fleet(args, journal_dir)
     print(f"fleet of {len(fleet)} kernels (journals: {journal_dir})")
 
-    placement = PlacementMap.learn(
-        fleet, "svc.*.lock", window_ns=args.duration_ns // 20
-    )
-    window = args.duration_ns // 10
-    rollout_kwargs = dict(
-        baseline_ns=window, canary_ns=2 * window, check_every_ns=window // 4
-    )
-    planner_kwargs = dict(
-        max_concurrent_kernels=args.max_concurrent_kernels,
-        canary_kernels=1,
-        bake_ns=window // 2,
-    )
-
-    def fleet_events():
-        return [
-            e.get("event")
-            for e in PolicyJournal(fleet_journal_path).entries()
-            if e.get("kind") == "fleet"
-        ]
-
-    def member_stock(name, policy):
-        member = fleet.member(name)
-        record = member.daemon.records.get(policy)
-        return (record is None or not record.live) and (
-            policy not in member.concord.policies
-        )
+    placement = learn_placement(fleet, args)
+    windows = rollout_windows(args)
 
     # -- phase 1: everyone answers the health probe --------------------
     print("\nphase 1: liveness probes — daemon, clock, journal shard")
     monitor = HealthMonitor(fleet)
     probes = monitor.probe_all()
-    _check(
-        failures,
+    check(
         len(probes) == len(fleet) and all(r.ok for r in probes.values()),
         f"all {len(probes)} members probe HEALTHY",
     )
-    _check(
-        failures,
+    check(
         all(
             any(e.get("kind") == "heartbeat" for e in m.journal.entries())
             for m in fleet.members()
@@ -817,40 +679,32 @@ def run_fleet_degraded_scenario(args) -> int:
     coordinator = FleetCoordinator(
         fleet, journal=PolicyJournal(fleet_journal_path), health=monitor
     )
-    plan = RolloutPlanner(**planner_kwargs).plan("steady", placement)
+    plan = wave_planner(args).plan("steady", placement)
     victim = plan.waves[1].kernels[0]
     print(f"victim: {victim} (killed after it is patched, before its bake)")
     with injected(_kill_member_at_bake(victim, args.seed)):
         halted = coordinator.execute(
-            plan, lambda member: _steady_submission(), **rollout_kwargs
+            plan, lambda member: _steady_submission(), **windows
         )
     print(halted.describe())
-    _check(
-        failures,
+    check(
         halted.state is FleetRolloutState.HALTED,
         "any-breach verdict HALTED the rollout",
     )
-    _check(
-        failures,
-        halted.unreachable_kernels() == [victim],
-        f"{victim} recorded UNREACHABLE",
-    )
-    _check(failures, fleet.is_quarantined(victim), f"{victim} quarantined")
-    _check(
-        failures,
+    check(halted.unreachable_kernels() == [victim], f"{victim} recorded UNREACHABLE")
+    check(fleet.is_quarantined(victim), f"{victim} quarantined")
+    check(
         [(d["kernel"], d["policy"]) for d in coordinator.debt]
         == [(victim, "steady")],
         "the victim's installed policy is booked as revert debt",
     )
-    events = fleet_events()
-    _check(
-        failures,
-        all(e in events for e in ("member-dead", "quarantine", "revert-debt")),
+    journal = PolicyJournal(fleet_journal_path)
+    check(
+        all(fleet_events(journal, e) for e in ("member-dead", "quarantine", "revert-debt")),
         "member-dead, quarantine, and revert-debt all journaled",
     )
-    _check(
-        failures,
-        all(member_stock(k, "steady") for k in plan.kernels() if k != victim),
+    check(
+        all(member_stock(fleet, k, "steady") for k in plan.kernels() if k != victim),
         "every reachable kernel converged to stock",
     )
 
@@ -859,95 +713,91 @@ def run_fleet_degraded_scenario(args) -> int:
     epoch_before = fleet.member(victim).epoch
     fresh = FleetCoordinator(fleet, journal=PolicyJournal(fleet_journal_path))
     fresh.reinstate(victim)
-    recovered = fresh.recover(lambda member: _steady_submission(), **rollout_kwargs)
+    recovered = fresh.recover(lambda member: _steady_submission(), **windows)
     print(recovered.describe() if recovered is not None else "recovery: nothing in flight")
-    _check(
-        failures,
+    check(
         recovered is not None and recovered.state is FleetRolloutState.UNWOUND,
         "recovery unwound the halted rollout",
     )
-    _check(failures, not fresh.debt, "revert debt drained after reinstatement")
-    _check(
-        failures,
-        "debt-drained" in fleet_events(),
+    check(not fresh.debt, "revert debt drained after reinstatement")
+    check(
+        fleet_events(PolicyJournal(fleet_journal_path), "debt-drained"),
         "the drain was journaled (debt-drained)",
     )
-    _check(
-        failures,
+    check(
         fleet.member(victim).epoch > epoch_before,
         f"{victim} reinstated at a higher epoch "
         f"({epoch_before} -> {fleet.member(victim).epoch})",
     )
-    _check(
-        failures,
-        all(member_stock(k, "steady") for k in plan.kernels()),
+    check(
+        all(member_stock(fleet, k, "steady") for k in plan.kernels()),
         "the whole fleet — victim included — is uniformly stock",
     )
 
     # -- phase 4: quorum completes degraded, then the fleet heals ------
     print("\nphase 4: quorum rollout — the fleet completes degraded, then heals")
     coordinator = FleetCoordinator(fleet, journal=PolicyJournal(fleet_journal_path))
-    plan = RolloutPlanner(
-        verdict_mode="quorum", quorum=args.quorum, **planner_kwargs
-    ).plan("steady", placement)
+    plan = wave_planner(args, verdict_mode="quorum", quorum=args.quorum).plan(
+        "steady", placement
+    )
     victim = plan.waves[1].kernels[0]
     with injected(_kill_member_at_bake(victim, args.seed)):
         degraded = coordinator.execute(
-            plan, lambda member: _steady_submission(), **rollout_kwargs
+            plan, lambda member: _steady_submission(), **windows
         )
     print(degraded.describe())
-    _check(
-        failures,
+    check(
         degraded.state is FleetRolloutState.COMPLETE,
         f"quorum ({args.quorum}) completed the rollout degraded",
     )
-    _check(
-        failures,
+    check(
         degraded.unreachable_kernels() == [victim]
         and fleet.is_quarantined(victim),
         f"{victim} unreachable and quarantined, debt booked",
     )
     survivors = [k for k in plan.kernels() if k != victim]
-    _check(
-        failures,
-        all(
-            fleet.member(k).daemon.records["steady"].state is PolicyState.ACTIVE
-            for k in survivors
-        ),
+    check(
+        fleet_active(fleet, "steady", survivors),
         "every reachable kernel is at plan (steady ACTIVE)",
     )
     healer = FleetCoordinator(fleet, journal=PolicyJournal(fleet_journal_path))
     healer.reinstate(victim)
-    healer.recover(lambda member: _steady_submission(), **rollout_kwargs)
-    _check(failures, not healer.debt, "second reinstate + recover drained the debt")
-    final_plan = RolloutPlanner(**planner_kwargs).plan("numa-good", placement)
-    final = healer.execute(final_plan, _good_numa_factory, **rollout_kwargs)
+    healer.recover(lambda member: _steady_submission(), **windows)
+    check(not healer.debt, "second reinstate + recover drained the debt")
+    final_plan = wave_planner(args).plan("numa-good", placement)
+    final = healer.execute(final_plan, _good_numa_factory, **windows)
     print(final.describe())
-    _check(
-        failures,
+    check(
         final.state is FleetRolloutState.COMPLETE
-        and all(
-            fleet.member(k).daemon.records["numa-good"].state is PolicyState.ACTIVE
-            for k in final_plan.kernels()
-        ),
+        and fleet_active(fleet, "numa-good", final_plan.kernels()),
         "healed fleet: fresh rollout ACTIVE on every kernel",
     )
 
     if args.audit:
-        for member in fleet.members():
-            print(f"\naudit log ({member.name}):")
-            print(member.daemon.audit.format())
-    if failures:
-        print(
-            f"\nfleet-degraded scenario FAILED ({len(failures)} check(s)):",
-            file=sys.stderr,
-        )
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("\nfleet-degraded scenario passed: probes, quarantine, epoch fencing, "
-          "revert debt, and degraded quorum all behaved")
-    return 0
+        print_fleet_audit(fleet)
+    return check.verdict(
+        "fleet-degraded scenario",
+        "passed: probes, quarantine, epoch fencing, "
+        "revert debt, and degraded quorum all behaved",
+    )
+
+
+def _every_kernel_stock(fleet) -> bool:
+    """No policy is live on any member."""
+    return all(
+        not record.live
+        for member in fleet.members()
+        for record in member.daemon.records.values()
+    )
+
+
+def _pooled_wave(policy: str, canary_locks, bake_ns: int) -> FleetPlan:
+    """One canary wave over all three members of a :func:`pooled_fleet`."""
+    return FleetPlan(
+        policy,
+        [WaveSpec(index=0, kernels=["k0", "k1", "k2"], canary=True, bake_ns=bake_ns)],
+        canary_locks={f"k{i}": list(canary_locks) for i in range(3)},
+    )
 
 
 def run_guards_scenario(args) -> int:
@@ -966,17 +816,11 @@ def run_guards_scenario(args) -> int:
        histograms, crosses readiness and trips; the fleet halts and
        reverts, the breach naming all three kernels.
     """
-    failures: List[str] = []
+    check = Checks()
 
     # -- phase 1: one lock's p99 regresses, averages stay in budget ----
     print("phase 1: tail-spike on shard0 — avg guard blind, tail guard trips")
-    kernel = Kernel(
-        Topology(sockets=args.sockets, cores_per_socket=args.cores), seed=args.seed
-    )
-    for index in range(args.locks):
-        kernel.add_lock(
-            f"svc.shard{index}.lock", ShflLock(kernel.engine, name=f"shard{index}")
-        )
+    kernel = shard_kernel(args.sockets, args.cores, args.seed, args.locks)
     concord = Concord(kernel)
     daemon = Concordd(
         concord,
@@ -985,18 +829,13 @@ def run_guards_scenario(args) -> int:
     )
     alice = PolicyClient.connect(daemon, "alice", allowed_selectors=("svc.*",))
     stop_at = kernel.now + args.duration_ns
-    _spawn_shard_workload(kernel, stop_at, args.tasks_per_lock, args.cs_ns)
+    spawn_shard_workload(kernel, stop_at, args.tasks_per_lock, args.cs_ns)
 
     window = args.duration_ns // 4
+    windows = dict(baseline_ns=window, canary_ns=2 * window, check_every_ns=window // 2)
     canary_locks = [f"svc.shard{i}.lock" for i in range(min(2, args.locks))]
     alice.submit(tail_spike_submission(kernel.lock_id_by_name("svc.shard0.lock")))
-    record = alice.rollout(
-        "tail-spike",
-        baseline_ns=window,
-        canary_ns=2 * window,
-        check_every_ns=window // 2,
-        canary_locks=canary_locks,
-    )
+    record = alice.rollout("tail-spike", canary_locks=canary_locks, **windows)
     kernel.run()
 
     print(f"tail guard  : {record.state.name:<12} {record.verdict.describe()}")
@@ -1004,15 +843,13 @@ def run_guards_scenario(args) -> int:
         record.baseline_report, record.canary_report
     )
     print(f"avg guard   : {'pass' if old_verdict.ok else 'FAIL':<12} {old_verdict.describe()}")
-    _check(failures, record.state is PolicyState.ROLLED_BACK, "tail guard rolled the policy back")
-    _check(
-        failures,
+    check(record.state is PolicyState.ROLLED_BACK, "tail guard rolled the policy back")
+    check(
         old_verdict.ready and old_verdict.ok,
         "old SLOGuard passes the same reports (average within budget)",
     )
     breaches = record.verdict.attributed
-    _check(
-        failures,
+    check(
         any(b.lock_name == "svc.shard0.lock" and b.metric == "p99_wait_ns" for b in breaches),
         "breach attributes the regression to svc.shard0.lock p99",
     )
@@ -1022,32 +859,16 @@ def run_guards_scenario(args) -> int:
     # -- phase 2: pooled evidence trips what no member alone can ------
     print("\nphase 2: 3-kernel wave — pooled histograms trip the fleet verdict")
     journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="concordd-guards-")
-    fleet = FleetManager()
-    for index in range(3):
-        member_kernel = Kernel(
-            Topology(sockets=args.sockets, cores_per_socket=args.cores),
-            seed=args.seed + 1 + index,
-        )
-        for i in range(args.locks):
-            member_kernel.add_lock(
-                f"svc.shard{i}.lock", ShflLock(member_kernel.engine, name=f"shard{i}")
-            )
-        fleet.register(
-            f"k{index}",
-            member_kernel,
-            # Each member alone never reaches readiness: its canary
-            # window holds fewer acquisitions than this threshold, so
-            # the per-member verdict defers and the daemon promotes on
-            # verifier trust.
-            guard=SLOGuard(min_acquisitions=10**9),
-            canary_fraction=0.5,
-            journal=PolicyJournal(
-                os.path.join(journal_dir, f"journal.k{index}.jsonl")
-            ),
-        )
-        _spawn_shard_workload(
-            member_kernel,
-            member_kernel.now + args.duration_ns,
+    fleet = pooled_fleet(
+        args,
+        journal_dir,
+        "journal",
+        lambda seed: shard_kernel(args.sockets, args.cores, seed, args.locks),
+    )
+    for member in fleet.members():
+        spawn_shard_workload(
+            member.kernel,
+            member.kernel.now + args.duration_ns,
             args.tasks_per_lock,
             args.cs_ns,
         )
@@ -1056,64 +877,34 @@ def run_guards_scenario(args) -> int:
         journal=PolicyJournal(os.path.join(journal_dir, "fleet.jsonl")),
         pooled_guard=TailWaitGuard(max_tail_regression=args.max_tail_regression),
     )
-    plan = FleetPlan(
-        "tail-spike",
-        [WaveSpec(index=0, kernels=["k0", "k1", "k2"], canary=True, bake_ns=window // 2)],
-        canary_locks={f"k{i}": list(canary_locks) for i in range(3)},
-    )
     result = coordinator.execute(
-        plan,
+        _pooled_wave("tail-spike", canary_locks, window // 2),
         lambda member: tail_spike_submission(
             member.kernel.lock_id_by_name("svc.shard0.lock")
         ),
-        baseline_ns=window,
-        canary_ns=2 * window,
-        check_every_ns=window // 2,
+        **windows,
     )
     print(result.describe())
-    _check(failures, result.state is FleetRolloutState.HALTED, "pooled verdict HALTED the wave")
-    _check(
-        failures,
+    check(result.state is FleetRolloutState.HALTED, "pooled verdict HALTED the wave")
+    check(
         result.halt_cause is not None and "pooled breach" in result.halt_cause,
         "halt cause is the pooled breach",
     )
-    _check(
-        failures,
+    check(
         result.halt_cause is not None
         and "svc.shard0.lock" in result.halt_cause
         and all(k in result.halt_cause for k in ("k0", "k1", "k2")),
         "pooled breach names the lock and all three kernels",
     )
-    _check(
-        failures,
-        all(
-            not record.live
-            for member in fleet.members()
-            for record in member.daemon.records.values()
-        ),
-        "every kernel reverted to stock",
-    )
-    pooled_entries = [
-        e
-        for e in coordinator.journal.entries()
-        if e.get("event") == "pooled-breach"
-    ]
-    _check(
-        failures,
+    check(_every_kernel_stock(fleet), "every kernel reverted to stock")
+    check(
         any(
             e.get("lock") == "svc.shard0.lock" and e.get("kernels") == ["k0", "k1", "k2"]
-            for e in pooled_entries
+            for e in fleet_events(coordinator.journal, "pooled-breach")
         ),
         "fleet journal records the attributed pooled-breach event",
     )
-
-    if failures:
-        print(f"\nguards scenario FAILED ({len(failures)}):", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("\nguards scenario PASSED")
-    return 0
+    return check.verdict("guards scenario", "PASSED")
 
 
 def _traffic_rollout(args, schedule, journal_dir: str, label: str):
@@ -1142,28 +933,12 @@ def _traffic_rollout(args, schedule, journal_dir: str, label: str):
             "shard1": LockBinding("svc.shard1.lock", cs_ns=args.cs_ns),
         },
     )
-    fleet = FleetManager()
-    for index in range(3):
-        kernel = Kernel(
-            Topology(sockets=args.sockets, cores_per_socket=args.cores),
-            seed=args.seed + 1 + index,
-        )
-        for i in range(2):
-            kernel.add_lock(
-                f"svc.shard{i}.lock", ShflLock(kernel.engine, name=f"shard{i}")
-            )
-        fleet.register(
-            f"k{index}",
-            kernel,
-            # Per-member guards defer (readiness threshold out of reach);
-            # the pooled cross-kernel verdict decides alone, so the two
-            # runs differ only in the load the pooled evidence saw.
-            guard=SLOGuard(min_acquisitions=10**9),
-            canary_fraction=0.5,
-            journal=PolicyJournal(
-                os.path.join(journal_dir, f"journal.{label}.k{index}.jsonl")
-            ),
-        )
+    fleet = pooled_fleet(
+        args,
+        journal_dir,
+        f"journal.{label}",
+        lambda seed: shard_kernel(args.sockets, args.cores, seed, 2),
+    )
     runner.drive_fleet(fleet)
     coordinator = FleetCoordinator(
         fleet,
@@ -1171,15 +946,8 @@ def _traffic_rollout(args, schedule, journal_dir: str, label: str):
         pooled_guard=TailWaitGuard(max_tail_regression=args.max_tail_regression),
     )
     window = args.duration_ns // 4
-    plan = FleetPlan(
-        "traffic-meter",
-        [WaveSpec(index=0, kernels=["k0", "k1", "k2"], canary=True, bake_ns=window // 2)],
-        canary_locks={
-            f"k{i}": ["svc.shard0.lock", "svc.shard1.lock"] for i in range(3)
-        },
-    )
     result = coordinator.execute(
-        plan,
+        _pooled_wave("traffic-meter", ["svc.shard0.lock", "svc.shard1.lock"], window // 2),
         lambda member: _steady_submission("traffic-meter"),
         baseline_ns=window,
         canary_ns=2 * window,
@@ -1208,7 +976,7 @@ def run_traffic_scenario(args) -> int:
        attribution.  Same policy, opposite verdict: the decision is
        about the load, which is the point of the traffic layer.
     """
-    failures: List[str] = []
+    check = Checks()
 
     # -- phase 1: the corpus has a real concurrency knee ---------------
     print("phase 1: malthusian collapse — throughput knees and falls")
@@ -1228,8 +996,8 @@ def run_traffic_scenario(args) -> int:
     tail = result.at(8).ops_per_msec
     print(f"knee: measured n={knee}, predicted n={expected}, "
           f"collapse at n=8: {tail / peak:.2f}x of peak")
-    _check(failures, abs(knee - expected) <= 1, "knee lands where the model predicts")
-    _check(failures, tail < 0.7 * peak, "throughput collapses past the knee")
+    check(abs(knee - expected) <= 1, "knee lands where the model predicts")
+    check(tail < 0.7 * peak, "throughput collapses past the knee")
 
     journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="concordd-traffic-")
     window = args.duration_ns // 4
@@ -1243,13 +1011,11 @@ def run_traffic_scenario(args) -> int:
     print(f"trace: {trace_s.describe()}")
     print(runner_s.report())
     print(result_s.describe())
-    _check(
-        failures,
+    check(
         result_s.state is FleetRolloutState.COMPLETE,
         "steady-load wave COMPLETEs",
     )
-    _check(
-        failures,
+    check(
         all(
             any(r.live and r.state is PolicyState.ACTIVE for r in member.daemon.records.values())
             for member in fleet_s.members()
@@ -1270,57 +1036,37 @@ def run_traffic_scenario(args) -> int:
     print(f"trace: {trace_b.describe()}")
     print(runner_b.report())
     print(result_b.describe())
-    _check(
-        failures,
+    check(
         result_b.state is FleetRolloutState.HALTED,
         "burst-load wave HALTED by the pooled verdict",
     )
-    _check(
-        failures,
+    check(
         result_b.halt_cause is not None and "pooled breach" in result_b.halt_cause,
         "halt cause is the pooled breach",
     )
-    _check(
-        failures,
-        all(
-            not record.live
-            for member in fleet_b.members()
-            for record in member.daemon.records.values()
-        ),
-        "every kernel reverted to stock after the halt",
-    )
-    pooled_entries = [
-        e for e in coord_b.journal.entries() if e.get("event") == "pooled-breach"
-    ]
-    _check(
-        failures,
+    check(_every_kernel_stock(fleet_b), "every kernel reverted to stock after the halt")
+    check(
         any(
             e.get("lock", "").startswith("svc.shard")
             and e.get("kernels") == ["k0", "k1", "k2"]
-            for e in pooled_entries
+            for e in fleet_events(coord_b.journal, "pooled-breach")
         ),
         "fleet journal records the attributed pooled-breach event",
     )
     burst_p99 = runner_b.phase_stats("burst").wait_p99()
     pre_p99 = runner_b.phase_stats("pre").wait_p99()
     print(f"replay tails: pre p99 {pre_p99}ns, burst p99 {burst_p99}ns")
-    _check(failures, burst_p99 > pre_p99, "burst phase degrades the replay tail")
-
-    if failures:
-        print(f"\ntraffic scenario FAILED ({len(failures)}):", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print(
-        "\ntraffic scenario PASSED: the same policy cleared guards under "
-        "steady load and was halted with an attributed breach under burst"
+    check(burst_p99 > pre_p99, "burst phase degrades the replay tail")
+    return check.verdict(
+        "traffic scenario",
+        "PASSED: the same policy cleared guards under "
+        "steady load and was halted with an attributed breach under burst",
     )
-    return 0
 
 
 def _adapt_bench_world(args, journal):
     """One Malthusian-bench kernel with an adaptation loop over it."""
-    kernel = Kernel(Topology(sockets=2, cores_per_socket=4), seed=args.seed)
+    kernel = shard_kernel(2, 4, args.seed, 0)
     bench = MalthusianBench()
     bench.setup(kernel)
     concord = Concord(kernel)
@@ -1350,6 +1096,13 @@ def _spawn_bench_workers(kernel, bench, start: int, count: int) -> None:
             cpu=order[index],
             name=f"malthus-{index}",
         )
+
+
+def _hot_lock_kernel(args, seed: int):
+    """A kernel whose one lock, ``svc.hot.lock``, is a stock MCS lock."""
+    kernel = shard_kernel(args.sockets, args.cores, seed, 0)
+    kernel.add_lock("svc.hot.lock", MCSLock(kernel.engine, name="hot"))
+    return kernel
 
 
 def _adaptation_entries(journal, event=None):
@@ -1387,7 +1140,7 @@ def run_adapt_scenario(args) -> int:
        in place.  (The auto-derived cap clears the same tightened
        budget — the skew is the cap's fault, not the cull's.)
     """
-    failures: List[str] = []
+    check = Checks()
     journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="concordd-adapt-")
 
     # -- phase 1: fleet-wide detect -> propose -> canary -> keep -------
@@ -1418,23 +1171,11 @@ def run_adapt_scenario(args) -> int:
             )
         },
     )
-    fleet = FleetManager()
-    for index in range(3):
-        kernel = Kernel(
-            Topology(sockets=args.sockets, cores_per_socket=args.cores),
-            seed=args.seed + 1 + index,
-        )
-        kernel.add_lock("svc.hot.lock", MCSLock(kernel.engine, name="hot"))
-        fleet.register(
-            f"k{index}",
-            kernel,
-            # Defer per-member verdicts: the loop's own composite guard
-            # (pooled tail + fairness) judges the canary alone.
-            guard=SLOGuard(min_acquisitions=10**9),
-            journal=PolicyJournal(
-                os.path.join(journal_dir, f"adapt.k{index}.jsonl")
-            ),
-        )
+    # The loop's own composite guard (pooled tail + fairness) judges the
+    # canary alone.
+    fleet = pooled_fleet(
+        args, journal_dir, "adapt", lambda seed: _hot_lock_kernel(args, seed)
+    )
     runner.drive_fleet(fleet)
     coordinator = FleetCoordinator(
         fleet, journal=PolicyJournal(os.path.join(journal_dir, "adapt.fleet.jsonl"))
@@ -1450,8 +1191,7 @@ def run_adapt_scenario(args) -> int:
     decisions = loop.run(passes=10)
     for decision in decisions:
         print(f"  {decision.describe()}")
-    _check(
-        failures,
+    check(
         decisions and decisions[-1].outcome == "kept",
         "fleet loop detects the collapse and keeps the cull",
     )
@@ -1459,21 +1199,18 @@ def run_adapt_scenario(args) -> int:
         member.kernel.locks.get("svc.hot.lock").core.impl
         for member in fleet.members()
     ]
-    _check(
-        failures,
+    check(
         all(isinstance(impl, CullingLock) for impl in impls),
         "every member's hot lock runs the culling impl",
     )
     detected = _adaptation_entries(coordinator.journal, "collapse-detected")
     proposed = _adaptation_entries(coordinator.journal, "cull-proposed")
     kept = _adaptation_entries(coordinator.journal, "cull-kept")
-    _check(
-        failures,
+    check(
         bool(detected) and bool(proposed) and bool(kept),
         "fleet journal has collapse-detected, cull-proposed, cull-kept",
     )
-    _check(
-        failures,
+    check(
         bool(proposed)
         and all(impl.cap == proposed[-1].get("cap") for impl in impls),
         "installed caps match the journaled proposal",
@@ -1485,8 +1222,7 @@ def run_adapt_scenario(args) -> int:
             f"  post-cull rate {post_rate:.1f} ops/ms vs healthy reference "
             f"{ref_rate:.1f} ops/ms"
         )
-        _check(
-            failures,
+        check(
             post_rate >= 0.8 * ref_rate,
             "post-cull throughput >= 0.8x the healthy reference rate",
         )
@@ -1501,7 +1237,7 @@ def run_adapt_scenario(args) -> int:
     _spawn_bench_workers(kernel, bench, 0, 4)
     kernel.run(until=kernel.now + 100_000)
     first = bench_loop.run_once()  # healthy window becomes the reference
-    _check(failures, first.outcome == "idle", "pre-knee window is judged healthy")
+    check(first.outcome == "idle", "pre-knee window is judged healthy")
     _spawn_bench_workers(kernel, bench, 4, 4)
     kernel.run(until=kernel.now + 100_000)
     kill_plan = FaultPlan(seed=args.seed, name="adapt-kill")
@@ -1513,16 +1249,14 @@ def run_adapt_scenario(args) -> int:
     except InjectedCrash:
         crashed = True
     site = kernel.locks.get("bench.malthus")
-    _check(failures, crashed, "InjectedCrash unwound the pass mid-propose")
+    check(crashed, "InjectedCrash unwound the pass mid-propose")
     open_proposals = _adaptation_entries(PolicyJournal(journal_path), "cull-proposed")
-    _check(
-        failures,
+    check(
         bool(open_proposals)
         and not _adaptation_entries(PolicyJournal(journal_path), "cull-rolled-back"),
         "journal ends on an open cull-proposed entry",
     )
-    _check(
-        failures,
+    check(
         isinstance(site.core.impl, MCSLock),
         "nothing was installed before the crash",
     )
@@ -1533,34 +1267,29 @@ def run_adapt_scenario(args) -> int:
     loop_b = _adapt_bench_loop(daemon_b)
     summary = loop_b.recover()
     print(f"  loop recover: {summary}")
-    _check(failures, summary["resolved"] == 1, "recover() resolved the open proposal")
+    check(summary["resolved"] == 1, "recover() resolved the open proposal")
     resolved = _adaptation_entries(journal_b, "cull-rolled-back")
-    _check(
-        failures,
+    check(
         bool(resolved) and "recovered" in resolved[-1].get("cause", ""),
         "open proposal journaled as rolled back by recovery",
     )
-    _check(
-        failures,
+    check(
         isinstance(site.core.impl, MCSLock),
         "no proposed-but-unjudged cull left installed after recovery",
     )
     reference = loop_b.detector.reference("bench.malthus")
-    _check(
-        failures,
+    check(
         reference is not None and reference.rate_per_ms > 0,
         "healthy reference re-seeded from the journal",
     )
     continued = loop_b.run(passes=4)
     for decision in continued:
         print(f"  {decision.describe()}")
-    _check(
-        failures,
+    check(
         continued and continued[-1].outcome == "kept",
         "continued loop re-proposes and keeps the cull",
     )
-    _check(
-        failures,
+    check(
         continued
         and continued[-1].policy == "cull.bench.malthus.2"
         and isinstance(site.core.impl, CullingLock),
@@ -1589,19 +1318,16 @@ def run_adapt_scenario(args) -> int:
     verdict = loop3.run_once()
     print(f"  {verdict.describe()}")
     site3 = kernel3.locks.get("bench.malthus")
-    _check(failures, verdict.outcome == "rolled-back", "cap=1 cull is rolled back")
-    _check(
-        failures,
+    check(verdict.outcome == "rolled-back", "cap=1 cull is rolled back")
+    check(
         "skew" in verdict.cause,
         "rollback cause is the per-socket fairness skew",
     )
-    _check(
-        failures,
+    check(
         isinstance(site3.core.impl, MCSLock),
         "stock lock restored after the rollback",
     )
-    _check(
-        failures,
+    check(
         bool(_adaptation_entries(daemon3.journal, "cull-rolled-back")),
         "rollback verdict journaled",
     )
@@ -1612,53 +1338,12 @@ def run_adapt_scenario(args) -> int:
             print(f"  {entry}")
         print("\nbench audit log:")
         print(daemon_b.audit.format())
-
-    if failures:
-        print(f"\nadapt scenario FAILED ({len(failures)}):", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print(
-        "\nadapt scenario PASSED: collapse detected on pooled evidence, "
+    return check.verdict(
+        "adapt scenario",
+        "PASSED: collapse detected on pooled evidence, "
         "self-proposed cull kept fleet-wide, crash recovery never left an "
-        "unjudged cull, and the over-aggressive cap was rolled back"
+        "unjudged cull, and the over-aggressive cap was rolled back",
     )
-    return 0
-
-
-def _build_replicated_fleet(args, fabric=None):
-    """Like :func:`_build_fleet`, but every member's policy journal is a
-    :class:`~repro.replication.journal.ReplicatedJournal` over its own
-    ``--sites``-way replica group (no journal files at all).  With a
-    ``fabric``, each group's replication traffic crosses it (endpoint
-    ``kI`` → ``kI/siteJ``), so partitions can cut a member off from its
-    own sites."""
-    fleet = FleetManager()
-    groups = {}
-    for index in range(args.kernels):
-        kernel = Kernel(
-            Topology(sockets=args.sockets, cores_per_socket=args.cores),
-            seed=args.seed + index,
-        )
-        nr_locks = 2 if index == 0 else args.locks
-        for i in range(nr_locks):
-            kernel.add_lock(
-                f"svc.shard{i}.lock", ShflLock(kernel.engine, name=f"shard{i}")
-            )
-        group = ReplicaGroup(f"k{index}", nr_sites=args.sites, fabric=fabric)
-        groups[f"k{index}"] = group
-        fleet.register(
-            f"k{index}",
-            kernel,
-            replica_group=group,
-            guard=SLOGuard(max_avg_wait_regression=args.max_regression),
-            canary_fraction=0.5,
-        )
-        tasks_per_lock = 1 if index == 0 else args.tasks_per_lock
-        _spawn_shard_workload(
-            kernel, kernel.now + args.duration_ns, tasks_per_lock, args.cs_ns
-        )
-    return fleet, groups
 
 
 def run_replicated_scenario(args) -> int:
@@ -1684,74 +1369,45 @@ def run_replicated_scenario(args) -> int:
        committer wins, the second aborts with a journaled serialization
        conflict and its patches are reverted — never both.
     """
-    if args.kernels < 3:
-        print("error: replicated scenario needs --kernels >= 3", file=sys.stderr)
-        return 2
-    if args.sites < 3:
-        print(
-            "error: replicated scenario needs --sites >= 3 "
-            "(one site death must leave a quorum)",
-            file=sys.stderr,
+    if not (
+        require("replicated", "--kernels", args.kernels, 3)
+        and require(
+            "replicated", "--sites", args.sites, 3, " (one site death must leave a quorum)"
         )
+    ):
         return 2
-    failures: List[str] = []
-    fleet, groups = _build_replicated_fleet(args)
+    check = Checks()
+    fleet, groups = shard_fleet(args)
     fleet_group = ReplicaGroup("fleet", nr_sites=args.sites)
     print(
         f"fleet of {len(fleet)} kernels; every journal replicated "
         f"{args.sites} ways (quorum {fleet_group.quorum})"
     )
 
-    placement = PlacementMap.learn(
-        fleet, "svc.*.lock", window_ns=args.duration_ns // 20
-    )
-    window = args.duration_ns // 10
-    rollout_kwargs = dict(
-        baseline_ns=window, canary_ns=2 * window, check_every_ns=window // 4
-    )
-    planner = RolloutPlanner(
-        max_concurrent_kernels=args.max_concurrent_kernels,
-        canary_kernels=1,
-        bake_ns=window // 2,
-    )
+    placement = learn_placement(fleet, args)
+    windows = rollout_windows(args)
+    planner = wave_planner(args)
     monitor = HealthMonitor(fleet)
     coordinator = FleetCoordinator(
         fleet, journal=fleet_group.journal(), health=monitor
     )
 
-    def fleet_active(policy, kernels):
-        return all(
-            (record := fleet.member(k).daemon.records.get(policy)) is not None
-            and record.state is PolicyState.ACTIVE
-            for k in kernels
-        )
-
-    def member_stock(name, policy):
-        member = fleet.member(name)
-        record = member.daemon.records.get(policy)
-        return (record is None or not record.live) and (
-            policy not in member.concord.policies
-        )
-
     # -- phase 1: rollout over replicated journals ---------------------
     print("\nphase 1: rollout over replicated journals — quorum commits, site probes")
     good = coordinator.execute(
-        planner.plan("numa-good", placement), _good_numa_factory, **rollout_kwargs
+        planner.plan("numa-good", placement), _good_numa_factory, **windows
     )
     print(good.describe())
-    _check(
-        failures,
+    check(
         good.state is FleetRolloutState.COMPLETE,
         "rollout COMPLETE over replicated journals",
     )
-    _check(
-        failures,
-        fleet_active("numa-good", good.plan.kernels()),
+    check(
+        fleet_active(fleet, "numa-good", good.plan.kernels()),
         "numa-good ACTIVE on every kernel",
     )
     pings = {m.name: m.daemon.ping() for m in fleet.members()}
-    _check(
-        failures,
+    check(
         all(
             p.get("replication", {}).get("commit_index", 0) > 0
             for p in pings.values()
@@ -1760,8 +1416,7 @@ def run_replicated_scenario(args) -> int:
     )
     probes = monitor.probe_all(include_sites=True)
     site_probes = {k: r for k, r in probes.items() if "/site" in k}
-    _check(
-        failures,
+    check(
         len(site_probes) == len(fleet) * args.sites
         and all(r.ok for r in site_probes.values()),
         f"all {len(site_probes)} replica sites answer their probes",
@@ -1779,44 +1434,37 @@ def run_replicated_scenario(args) -> int:
         steady = coordinator.execute(
             planner.plan("steady", placement),
             lambda member: _steady_submission(),
-            **rollout_kwargs,
+            **windows,
         )
     print(steady.describe())
     print(group.describe())
-    _check(
-        failures,
+    check(
         kill.fired[SITE_REPLICATION_APPEND] == 1,
         "the injected fault killed the leader mid-append",
     )
-    _check(
-        failures,
+    check(
         steady.state is FleetRolloutState.COMPLETE,
         "failover completed the wave: rollout COMPLETE",
     )
-    _check(
-        failures,
-        fleet_active("steady", steady.plan.kernels()),
+    check(
+        fleet_active(fleet, "steady", steady.plan.kernels()),
         "steady ACTIVE on every kernel",
     )
-    _check(
-        failures,
+    check(
         group.failovers >= 1 and group.leader.name != old_leader,
         f"leadership failed over off {old_leader} "
         f"(now {group.leader.name}, lease epoch {group.lease_epoch})",
     )
-    _check(
-        failures,
+    check(
         group.site(old_leader).state is SiteState.DOWN,
         "the killed site is DOWN",
     )
-    _check(
-        failures,
+    check(
         len(group.entries()) == group.commit_index,
         "no committed ack lost: every committed entry readable after failover",
     )
     last = fleet.member(victim_member).journal.last_transition("steady")
-    _check(
-        failures,
+    check(
         last is not None and last["to"] == "ACTIVE",
         "read-your-writes: the new leader serves the full committed log",
     )
@@ -1834,21 +1482,18 @@ def run_replicated_scenario(args) -> int:
         recovered.read(fgroup.commit_index)
     except SiteUnreadable:
         refused = True
-    _check(
-        failures,
+    check(
         refused and not recovered.readable,
         f"{follower.name} refuses reads while RECOVERING (available-copies gate)",
     )
     probe = monitor.probe_sites(follow_member)[follower.name]
-    _check(
-        failures,
+    check(
         probe.ok and "read-gated" in probe.detail,
         "the health probe reports the site recovering (read-gated)",
     )
     member = fleet.member(follow_member)
     member.journal.heartbeat(int(member.kernel.now), member=follow_member)
-    _check(
-        failures,
+    check(
         recovered.readable and recovered.state is SiteState.UP,
         "the first committed write post-recovery lifts the read gate",
     )
@@ -1857,13 +1502,11 @@ def run_replicated_scenario(args) -> int:
         for seq, entry in fgroup.leader.log.items()
         if seq <= fgroup.commit_index
     }
-    _check(
-        failures,
+    check(
         all(recovered.log.get(seq) == entry for seq, entry in committed.items()),
         "catch-up shipped every committed entry the site missed",
     )
-    _check(
-        failures,
+    check(
         recovered.read(fgroup.commit_index) == fgroup.entries(),
         "the recovered site serves the same committed log as the leader",
     )
@@ -1881,33 +1524,29 @@ def run_replicated_scenario(args) -> int:
     plan_b = planner.plan("tuner-bravo", placement)
     txn_b = coord_b.open_transaction(plan_b)
     result_a = coord_a.execute(
-        plan_a, lambda member: _steady_submission("tuner-alpha"), **rollout_kwargs
+        plan_a, lambda member: _steady_submission("tuner-alpha"), **windows
     )
     result_b = coord_b.execute(
-        plan_b, lambda member: _steady_submission("tuner-bravo"), **rollout_kwargs
+        plan_b, lambda member: _steady_submission("tuner-bravo"), **windows
     )
     print(result_a.describe())
     print(result_b.describe())
-    _check(
-        failures,
+    check(
         result_a.state is FleetRolloutState.COMPLETE
         and result_a.txn is not None
         and result_a.txn.status is TxnStatus.COMMITTED,
         "first committer (tuner-alpha) COMPLETE, its transaction committed",
     )
-    _check(
-        failures,
+    check(
         result_b.state is FleetRolloutState.HALTED
         and "serialization conflict" in (result_b.halt_cause or ""),
         "second committer aborted: serialization conflict halts the rollout",
     )
-    _check(
-        failures,
+    check(
         txn_b.status is TxnStatus.ABORTED,
         "the loser's ledger transaction is ABORTED",
     )
-    _check(
-        failures,
+    check(
         [t.txn_id for t in ledger.committed()] == ["tuner-alpha@coord-a"],
         "exactly one of the two overlapping rollouts committed",
     )
@@ -1916,35 +1555,23 @@ def run_replicated_scenario(args) -> int:
         for e in fleet_group.journal().entries()
         if e.get("kind") in ("fleet", "replication")
     ]
-    _check(
-        failures,
+    check(
         "serialization-conflict" in events and "txn-abort" in events,
         "the conflict and the txn abort are journaled",
     )
-    _check(
-        failures,
-        all(member_stock(k, "tuner-bravo") for k in plan_b.kernels())
-        and fleet_active("tuner-alpha", plan_a.kernels()),
+    check(
+        all(member_stock(fleet, k, "tuner-bravo") for k in plan_b.kernels())
+        and fleet_active(fleet, "tuner-alpha", plan_a.kernels()),
         "the aborted rollout reverted every kernel; the winner stands",
     )
 
     if args.audit:
-        for member in fleet.members():
-            print(f"\naudit log ({member.name}):")
-            print(member.daemon.audit.format())
-    if failures:
-        print(
-            f"\nreplicated scenario FAILED ({len(failures)} check(s)):",
-            file=sys.stderr,
-        )
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print(
-        "\nreplicated scenario passed: quorum commits, leader failover, "
-        "the recovery read gate, and commit-time serialization all behaved"
+        print_fleet_audit(fleet)
+    return check.verdict(
+        "replicated scenario",
+        "passed: quorum commits, leader failover, "
+        "the recovery read gate, and commit-time serialization all behaved",
     )
-    return 0
 
 
 def run_scrub_scenario(args) -> int:
@@ -1977,18 +1604,13 @@ def run_scrub_scenario(args) -> int:
        drain returns the member to stock while the survivors keep
        serving.
     """
-    if args.kernels < 3:
-        print("error: scrub scenario needs --kernels >= 3", file=sys.stderr)
+    if not (
+        require("scrub", "--kernels", args.kernels, 3)
+        and require("scrub", "--sites", args.sites, 3, " (repair needs quorum peers)")
+    ):
         return 2
-    if args.sites < 3:
-        print(
-            "error: scrub scenario needs --sites >= 3 "
-            "(repair needs quorum peers)",
-            file=sys.stderr,
-        )
-        return 2
-    failures: List[str] = []
-    fleet, groups = _build_replicated_fleet(args)
+    check = Checks()
+    fleet, groups = shard_fleet(args)
     fleet_group = ReplicaGroup("fleet", nr_sites=args.sites)
     fleet_journal = fleet_group.journal()
     scrubber = Scrubber(journal=fleet_journal)
@@ -1999,41 +1621,17 @@ def run_scrub_scenario(args) -> int:
         f"ways, scrubber wired into the health monitor"
     )
 
-    placement = PlacementMap.learn(
-        fleet, "svc.*.lock", window_ns=args.duration_ns // 20
-    )
-    window = args.duration_ns // 10
-    rollout_kwargs = dict(
-        baseline_ns=window, canary_ns=2 * window, check_every_ns=window // 4
-    )
-    planner = RolloutPlanner(
-        max_concurrent_kernels=args.max_concurrent_kernels,
-        canary_kernels=1,
-        bake_ns=window // 2,
-    )
-
-    def fleet_active(the_fleet, policy, kernels):
-        return all(
-            (record := the_fleet.member(k).daemon.records.get(policy)) is not None
-            and record.state is PolicyState.ACTIVE
-            for k in kernels
-        )
-
-    def member_stock(the_fleet, name, policy):
-        member = the_fleet.member(name)
-        record = member.daemon.records.get(policy)
-        return (record is None or not record.live) and (
-            policy not in member.concord.policies
-        )
+    placement = learn_placement(fleet, args)
+    windows = rollout_windows(args)
+    planner = wave_planner(args)
 
     # -- phase 1: silent rot on one replica, scrub detects + repairs ---
     print("\nphase 1: silent rot on one replica — scrub detects, quorum repairs")
     good = coordinator.execute(
-        planner.plan("numa-good", placement), _good_numa_factory, **rollout_kwargs
+        planner.plan("numa-good", placement), _good_numa_factory, **windows
     )
     print(good.describe())
-    _check(
-        failures,
+    check(
         good.state is FleetRolloutState.COMPLETE,
         "rollout COMPLETE over replicated journals",
     )
@@ -2045,19 +1643,16 @@ def run_scrub_scenario(args) -> int:
     print(f"flipped one byte of {follower.name}'s record at seq {seq}")
     probes = monitor.probe_all()
     verdict = probes.get("k1:scrub")
-    _check(
-        failures,
+    check(
         verdict is not None and verdict.ok and "repaired" in verdict.detail,
         "the health monitor's scrub pass detected and healed the rot",
     )
-    _check(
-        failures,
+    check(
         (follower.last_scrub or "").startswith("repaired from"),
         f"{follower.name} was rebuilt from a quorum peer "
         f"({follower.last_scrub})",
     )
-    _check(
-        failures,
+    check(
         # The probe round itself appended heartbeats, so compare the
         # prefix: everything committed before the flip must read back
         # exactly.
@@ -2065,25 +1660,20 @@ def run_scrub_scenario(args) -> int:
         "zero committed-entry loss: post-repair reads equal the "
         "pre-corruption committed prefix",
     )
-    _check(
-        failures,
+    check(
         victim_group.repairs >= 1 and scrubber.repairs >= 1,
         "the repair is counted by the group and the scrubber",
     )
     health = victim_group.health()
-    _check(
-        failures,
+    check(
         health["repairs"] >= 1
         and str(health["sites"][follower.name]["scrub"]).startswith("repaired")
         and all(s["lag"] == 0 for s in health["sites"].values()),
         "group health surfaces the scrub verdict and zero replication lag",
     )
-    events = [
-        e.get("event") for e in fleet_journal.entries() if e.get("kind") == "fleet"
-    ]
-    _check(
-        failures,
-        "scrub-failed" in events and "scrub-repaired" in events,
+    check(
+        fleet_events(fleet_journal, "scrub-failed")
+        and fleet_events(fleet_journal, "scrub-repaired"),
         "the scrub verdict and the repair are journaled",
     )
 
@@ -2102,35 +1692,30 @@ def run_scrub_scenario(args) -> int:
         f"compacted {target}: {stats['before']} entries -> {stats['after']} "
         f"(snapshot at seq {stats['last_seq']})"
     )
-    _check(
-        failures,
+    check(
         stats["after"] < stats["before"],
         "compaction folded the committed prefix",
     )
-    _check(
-        failures,
+    check(
         tgroup.entries() == fold_entries(before),
         "the compacted group serves exactly the folded committed prefix",
     )
     tgroup.recover_site(raw_site.name)
     member.journal.heartbeat(int(member.kernel.now), member=target)
     report = scrubber.scrub_group(tgroup)
-    _check(
-        failures,
+    check(
         report.ok and raw_site.base is None and tgroup.leader.base is not None,
         "anti-entropy digests agree across snapshot and raw-log "
         "representations of the same prefix",
     )
     for name in ("k0", "k1"):
         fleet.member(name).journal.compact()
-    resumed = coordinator.recover(_good_numa_factory, **rollout_kwargs)
-    _check(
-        failures,
+    resumed = coordinator.recover(_good_numa_factory, **windows)
+    check(
         resumed is None,
         "recovery over compacted journals finds nothing in flight",
     )
-    _check(
-        failures,
+    check(
         fleet_active(fleet, "numa-good", good.plan.kernels()),
         "snapshot + tail replay reconstructs fleet-wide ACTIVE state",
     )
@@ -2138,17 +1723,14 @@ def run_scrub_scenario(args) -> int:
     # -- phase 3: an unreplicated shard rots — quarantine + salvage ----
     print("\nphase 3: an unreplicated shard rots — quarantine, salvage, revert debt")
     journal_dir = args.journal_dir or tempfile.mkdtemp(prefix="concordd-scrub-")
-    file_fleet = _build_fleet(args, journal_dir)
+    file_fleet, _ = shard_fleet(args, journal_dir)
     file_journal = PolicyJournal(os.path.join(journal_dir, "fleet.jsonl"))
     file_coord = FleetCoordinator(file_fleet, journal=file_journal)
-    placement2 = PlacementMap.learn(
-        file_fleet, "svc.*.lock", window_ns=args.duration_ns // 20
-    )
+    placement2 = learn_placement(file_fleet, args)
     good2 = file_coord.execute(
-        planner.plan("numa-good", placement2), _good_numa_factory, **rollout_kwargs
+        planner.plan("numa-good", placement2), _good_numa_factory, **windows
     )
-    _check(
-        failures,
+    check(
         good2.state is FleetRolloutState.COMPLETE,
         "file-journal rollout COMPLETE",
     )
@@ -2170,44 +1752,34 @@ def run_scrub_scenario(args) -> int:
         PolicyJournal(shard).entries()
     except JournalCorruption as exc:
         caught = exc
-    _check(
-        failures,
+    check(
         caught is not None
         and caught.line == rotten_line
         and caught.path == shard
         and "not a torn write" in str(caught),
         "the corruption error reports the physical line and the shard path",
     )
-    file_coord.recover(_good_numa_factory, **rollout_kwargs)
-    _check(
-        failures,
+    file_coord.recover(_good_numa_factory, **windows)
+    check(
         file_fleet.is_quarantined("k1"),
         "fleet recovery quarantined the rotten shard's member instead of aborting",
     )
-    _check(
-        failures,
+    check(
         os.path.exists(shard + ".corrupt"),
         "the rotten suffix is preserved as evidence (<shard>.corrupt)",
     )
-    _check(
-        failures,
+    check(
         any(d["kernel"] == "k1" and d["policy"] == "numa-good" for d in file_coord.debt),
         "the stranded ACTIVE policy is booked as revert debt",
     )
-    rot_events = [
-        e
-        for e in file_journal.entries()
-        if e.get("kind") == "fleet" and e.get("event") == "shard-corrupt"
-    ]
-    _check(
-        failures,
+    rot_events = fleet_events(file_journal, "shard-corrupt")
+    check(
         rot_events
         and rot_events[0].get("kernel") == "k1"
         and "member k1" in str(rot_events[0].get("cause", "")),
         "the corruption is journaled naming the owning member",
     )
-    _check(
-        failures,
+    check(
         fleet_active(
             file_fleet, "numa-good", [k for k in good2.plan.kernels() if k != "k1"]
         ),
@@ -2215,32 +1787,23 @@ def run_scrub_scenario(args) -> int:
     )
     file_coord.reinstate("k1")
     drained = file_coord.drain_debt()
-    _check(
-        failures,
+    check(
         any(d["kernel"] == "k1" for d in drained),
         "reinstate + drain pays the quarantined member's debt",
     )
-    _check(
-        failures,
+    check(
         member_stock(file_fleet, "k1", "numa-good"),
         "the reinstated member is back to stock",
     )
 
     if args.audit:
-        for member in fleet.members():
-            print(f"\naudit log ({member.name}):")
-            print(member.daemon.audit.format())
-    if failures:
-        print(f"\nscrub scenario FAILED ({len(failures)} check(s)):", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print(
-        "\nscrub scenario passed: checksums caught the rot, quorum peers "
+        print_fleet_audit(fleet)
+    return check.verdict(
+        "scrub scenario",
+        "passed: checksums caught the rot, quorum peers "
         "repaired it, snapshots replayed faithfully, and the unreplicated "
-        "casualty was quarantined with its debt booked"
+        "casualty was quarantined with its debt booked",
     )
-    return 0
 
 
 def run_partition_scenario(args) -> int:
@@ -2280,42 +1843,30 @@ def run_partition_scenario(args) -> int:
        drained, and a final rollout leaves the fleet uniform — never a
        split fleet.
     """
-    if args.kernels < 4:
-        print(
-            "error: partition scenario needs --kernels >= 4 "
-            "(two casualties must leave a 0.5 quorum)",
-            file=sys.stderr,
+    if not (
+        require(
+            "partition", "--kernels", args.kernels, 4,
+            " (two casualties must leave a 0.5 quorum)",
         )
-        return 2
-    if args.sites < 3:
-        print(
-            "error: partition scenario needs --sites >= 3 "
-            "(one partitioned site must leave a quorum)",
-            file=sys.stderr,
+        and require(
+            "partition", "--sites", args.sites, 3,
+            " (one partitioned site must leave a quorum)",
         )
+    ):
         return 2
-    failures: List[str] = []
+    check = Checks()
     fabric = Fabric(seed=args.seed)
     fabric.set_model(LinkModel(latency_ns=400, jitter_ns=100))
-    fleet, groups = _build_replicated_fleet(args, fabric=fabric)
+    fleet, groups = shard_fleet(args, fabric=fabric)
     fleet_group = ReplicaGroup("fleet", nr_sites=args.sites)
+    fleet_journal = fleet_group.journal()
     print(
         f"fleet of {len(fleet)} kernels on a simulated fabric "
         f"(seed {args.seed}); journals replicated {args.sites} ways"
     )
 
-    placement = PlacementMap.learn(
-        fleet, "svc.*.lock", window_ns=args.duration_ns // 20
-    )
-    window = args.duration_ns // 10
-    rollout_kwargs = dict(
-        baseline_ns=window, canary_ns=2 * window, check_every_ns=window // 4
-    )
-    planner_kwargs = dict(
-        max_concurrent_kernels=args.max_concurrent_kernels,
-        canary_kernels=1,
-        bake_ns=window // 2,
-    )
+    placement = learn_placement(fleet, args)
+    windows = rollout_windows(args)
     monitor = HealthMonitor(fleet, fabric=fabric)
     coordinator = FleetCoordinator(
         fleet,
@@ -2325,68 +1876,33 @@ def run_partition_scenario(args) -> int:
         rpc_jitter_seed=args.seed,
     )
 
-    def fleet_events():
-        return [
-            e
-            for e in fleet_group.journal().entries()
-            if e.get("kind") == "fleet"
-        ]
-
-    def fleet_active(policy, kernels):
-        return all(
-            (record := fleet.member(k).daemon.records.get(policy)) is not None
-            and record.state is PolicyState.ACTIVE
-            for k in kernels
-        )
-
-    def member_stock(name, policy):
-        member = fleet.member(name)
-        record = member.daemon.records.get(policy)
-        return (record is None or not record.live) and (
-            policy not in member.concord.policies
-        )
-
-    def refuel():
-        # Re-arm every member's shard workload: each rollout burns
-        # simulated time, and a guard judging a drained workload sees
-        # starvation, not the policy.
-        for m in fleet.members():
-            per_lock = 1 if m.name == "k0" else args.tasks_per_lock
-            _spawn_shard_workload(
-                m.kernel, m.kernel.now + args.duration_ns, per_lock, args.cs_ns
-            )
-
     # -- phase 1: the fabric is online, rollout crosses it -------------
     print("\nphase 1: rollout across the fabric — every message over a modelled wire")
-    planner = RolloutPlanner(**planner_kwargs)
+    planner = wave_planner(args)
     plan1 = planner.plan("numa-good", placement)
-    good = coordinator.execute(plan1, _good_numa_factory, **rollout_kwargs)
+    good = coordinator.execute(plan1, _good_numa_factory, **windows)
     print(good.describe())
-    _check(
-        failures,
+    check(
         good.state is FleetRolloutState.COMPLETE,
         "rollout COMPLETE with every call over the fabric",
     )
-    _check(
-        failures,
-        fleet_active("numa-good", plan1.kernels()),
+    check(
+        fleet_active(fleet, "numa-good", plan1.kernels()),
         "numa-good ACTIVE on every kernel",
     )
-    _check(
-        failures,
+    check(
         fabric.delivered > 0 and fabric.rejected == 0,
         f"the fabric carried the rollout ({fabric.delivered} deliveries, none rejected)",
     )
     probes = monitor.probe_all(include_sites=True)
-    _check(
-        failures,
+    check(
         all(r.ok for r in probes.values()),
         f"all {len(probes)} member and site probes cross the fabric HEALTHY",
     )
 
     # -- phase 2: a link goes dark mid-rollout; any-breach halts -------
     print("\nphase 2: mid-rollout partition — any-breach halts, debt booked")
-    refuel()
+    spawn_fleet_workload(fleet, args)
     plan2 = planner.plan("steady", placement)
     victim = plan2.waves[1].kernels[0]
     print(f"victim: {victim} (its link goes dark at its bake, for 2ms of sim time)")
@@ -2399,56 +1915,50 @@ def run_partition_scenario(args) -> int:
     )
     with injected(kill):
         halted = coordinator.execute(
-            plan2, lambda member: _steady_submission(), **rollout_kwargs
+            plan2, lambda member: _steady_submission(), **windows
         )
     print(halted.describe())
-    _check(
-        failures,
+    check(
         kill.fired[SITE_NET_PARTITION_FLIP] == 1 and fabric.flips == 1,
         "the injected timed partition took the victim's link dark",
     )
-    _check(
-        failures,
+    check(
         halted.state is FleetRolloutState.HALTED,
         "any-breach verdict HALTED the rollout",
     )
-    _check(
-        failures,
+    check(
         halted.unreachable_kernels() == [victim]
         and fleet.is_quarantined(victim),
         f"{victim} recorded UNREACHABLE and quarantined",
     )
-    _check(
-        failures,
+    check(
         (victim, "steady") in [(d["kernel"], d["policy"]) for d in coordinator.debt],
         "the victim's installed policy is booked as revert debt",
     )
-    exhausted = [e for e in fleet_events() if e.get("event") == "rpc-exhausted"]
-    _check(
-        failures,
+    check(
         any(
             e["kernel"] == victim
             and e["classification"] == "unreachable"
             and e["attempts"] > 1
-            for e in exhausted
+            for e in fleet_events(fleet_journal, "rpc-exhausted")
         ),
         "the envelope's give-up is journaled: rpc-exhausted, classified unreachable",
     )
-    events = [e.get("event") for e in fleet_events()]
-    _check(
-        failures,
-        all(e in events for e in ("member-dead", "quarantine", "revert-debt")),
+    check(
+        all(
+            fleet_events(fleet_journal, e)
+            for e in ("member-dead", "quarantine", "revert-debt")
+        ),
         "member-dead, quarantine, and revert-debt all journaled",
     )
-    _check(
-        failures,
-        all(member_stock(k, "steady") for k in plan2.kernels() if k != victim),
+    check(
+        all(member_stock(fleet, k, "steady") for k in plan2.kernels() if k != victim),
         "every reachable kernel converged to stock",
     )
 
     # -- phase 3: deadline-exceeded under a quorum verdict -------------
     print("\nphase 3: crawling link + tight deadline — quorum completes degraded")
-    refuel()
+    spawn_fleet_workload(fleet, args)
     deadline_coord = FleetCoordinator(
         fleet,
         journal=fleet_group.journal(),
@@ -2460,9 +1970,9 @@ def run_partition_scenario(args) -> int:
         rpc_deadline_ns=40_000,
         rpc_jitter_seed=args.seed,
     )
-    plan3 = RolloutPlanner(
-        verdict_mode="quorum", quorum=args.quorum, **planner_kwargs
-    ).plan("deadline-tuner", placement)
+    plan3 = wave_planner(args, verdict_mode="quorum", quorum=args.quorum).plan(
+        "deadline-tuner", placement
+    )
     # The slow member sits in the last wave: the quorum check runs on
     # outcomes-so-far after every wave, and two casualties in one early
     # wave would sink it before the survivors could vote.
@@ -2484,44 +1994,40 @@ def run_partition_scenario(args) -> int:
         degraded = deadline_coord.execute(
             plan3,
             lambda member: _steady_submission("deadline-tuner"),
-            **rollout_kwargs,
+            **windows,
         )
     print(degraded.describe())
-    _check(
-        failures,
+    check(
         degraded.state is FleetRolloutState.COMPLETE,
         f"quorum ({args.quorum}) completed the rollout degraded",
     )
-    _check(
-        failures,
+    check(
         set(degraded.unreachable_kernels()) == {victim, slow},
         f"{victim} (quarantined) and {slow} (deadline) both recorded UNREACHABLE",
     )
-    exhausted = [e for e in fleet_events() if e.get("event") == "rpc-exhausted"]
-    _check(
-        failures,
+    losses = fleet_events(fleet_journal, "rpc-exhausted")
+    check(
         any(
             e["kernel"] == slow and e["classification"] == "deadline-exceeded"
-            for e in exhausted
+            for e in losses
         ),
         f"{slow}'s loss journaled deadline-exceeded (time, not attempts)",
     )
-    _check(
-        failures,
+    check(
         any(
             e["kernel"] == victim and e["classification"] == "unreachable"
-            for e in exhausted
+            for e in losses
         )
         and not any(
             e["kernel"] == slow and e["classification"] == "unreachable"
-            for e in exhausted
+            for e in losses
         ),
         "the two losses are classified distinctly in the journal",
     )
     survivors = [k for k in plan3.kernels() if k not in (victim, slow)]
-    _check(
-        failures,
-        fleet_active("deadline-tuner", survivors) and member_stock(slow, "deadline-tuner"),
+    check(
+        fleet_active(fleet, "deadline-tuner", survivors)
+        and member_stock(fleet, slow, "deadline-tuner"),
         "survivors at plan; the deadline casualty untouched (never patched)",
     )
 
@@ -2556,29 +2062,25 @@ def run_partition_scenario(args) -> int:
         f"the majority, nothing it sends crosses out)"
     )
     replayed = PartitionSchedule.deserialize(schedule.serialize())
-    _check(
-        failures,
+    check(
         replayed.serialize() == schedule.serialize() and schedule.ends_healed,
         "the schedule serializes for replay and ends healed",
     )
     fabric.advance(t0 + 2_000)
-    _check(
-        failures,
+    check(
         [e.action for e in fabric.applied] == ["partition"],
         "the schedule's partition applied at its simulated time",
     )
     member = fleet.member(split_member)
     member.journal.heartbeat(int(member.kernel.now), member=split_member)
-    _check(
-        failures,
+    check(
         group.failovers >= 1
         and group.leader.name != old_leader
         and group.lease_epoch > epoch_before,
         f"the group failed over around the cut ({old_leader} -> "
         f"{group.leader.name}, lease epoch {group.lease_epoch})",
     )
-    _check(
-        failures,
+    check(
         group.commit_index > commit_before,
         "the majority side kept committing during the split",
     )
@@ -2587,14 +2089,12 @@ def run_partition_scenario(args) -> int:
         group.append({"kind": "note", "op": "stale-write"}, lease=stale)
     except StaleLeaderFenced:
         fenced = True
-    _check(
-        failures,
+    check(
         fenced and group.commit_index == group.site(group.leader.name).commit_index,
         "the deposed leader's stale lease is fenced; the write commits nowhere",
     )
     health = group.health()
-    _check(
-        failures,
+    check(
         health["sites"][old_leader]["state"] == "DOWN"
         and health["sites"][old_leader]["partitioned"],
         "health marks the cut site DOWN partitioned (log intact)",
@@ -2604,15 +2104,13 @@ def run_partition_scenario(args) -> int:
         s for s in contrast_group.sites if s is not contrast_group.leader
     )
     contrast_group.fail_site(dead_follower.name, cause="operator kill")
-    _check(
-        failures,
+    check(
         not contrast_group.health()["sites"][dead_follower.name]["partitioned"]
         and "partitioned" not in dead_follower.describe(),
         "a failed site is NOT marked partitioned — the two outages are distinct",
     )
     probe = monitor.probe_sites(split_member)[old_leader]
-    _check(
-        failures,
+    check(
         not probe.ok and "partitioned, log intact" in probe.detail,
         "the site probe reports the partition, not a dead disk",
     )
@@ -2620,13 +2118,11 @@ def run_partition_scenario(args) -> int:
     # -- phase 5: heal, reconcile, drain — never a split fleet ---------
     print("\nphase 5: heal + reconcile — catch-up, scrub, drained debt, uniform fleet")
     fabric.advance(t0 + 1_100_000)
-    _check(
-        failures,
+    check(
         [e.action for e in fabric.applied] == ["partition", "heal"],
         "the schedule healed the fabric at its simulated time",
     )
-    _check(
-        failures,
+    check(
         fabric.reachable(split_member, old_leader)
         and fabric.reachable(coordinator.client_id, victim),
         "every link is back up (the timed flip healed with the schedule)",
@@ -2640,13 +2136,11 @@ def run_partition_scenario(args) -> int:
         m.journal.heartbeat(int(m.kernel.now), member=name)
     scrubber = Scrubber(journal=fleet_group.journal())
     reports = {name: scrubber.scrub_group(groups[name]) for name in sorted(groups)}
-    _check(
-        failures,
+    check(
         all(r.ok for r in reports.values()),
         "post-heal scrub passes on every group",
     )
-    _check(
-        failures,
+    check(
         all(
             site.committed_entries(g.commit_index) == g.entries()
             for g in groups.values()
@@ -2656,59 +2150,286 @@ def run_partition_scenario(args) -> int:
     )
     coordinator.reinstate(victim)
     coordinator.reinstate(slow)
-    recovered = coordinator.recover(_good_numa_factory, **rollout_kwargs)
-    _check(
-        failures,
+    recovered = coordinator.recover(_good_numa_factory, **windows)
+    check(
         recovered is None and not coordinator.debt,
         "reinstate + recover paid the revert debt — none stranded, nothing in flight",
     )
-    _check(
-        failures,
-        "debt-drained" in [e.get("event") for e in fleet_events()],
+    check(
+        fleet_events(fleet_journal, "debt-drained"),
         "the drain was journaled (debt-drained)",
     )
-    _check(
-        failures,
-        member_stock(victim, "steady"),
+    check(
+        member_stock(fleet, victim, "steady"),
         f"{victim}'s owed policy is back to stock",
     )
-    refuel()
+    spawn_fleet_workload(fleet, args)
     final = coordinator.execute(
-        planner.plan("numa-good", placement), _good_numa_factory, **rollout_kwargs
+        planner.plan("numa-good", placement), _good_numa_factory, **windows
     )
     print(final.describe())
     print(fabric.describe())
-    _check(
-        failures,
+    check(
         final.state is FleetRolloutState.COMPLETE
-        and fleet_active("numa-good", plan1.kernels()),
+        and fleet_active(fleet, "numa-good", plan1.kernels()),
         "healed fleet: numa-good uniformly ACTIVE again",
     )
-    _check(
-        failures,
+    check(
         not any(fleet.is_quarantined(m.name) for m in fleet.members())
-        and all(member_stock(k, "steady") for k in plan2.kernels()),
+        and all(member_stock(fleet, k, "steady") for k in plan2.kernels()),
         "never a split fleet: no quarantine left, the halted policy uniformly stock",
     )
 
     if args.audit:
-        for member in fleet.members():
-            print(f"\naudit log ({member.name}):")
-            print(member.daemon.audit.format())
-    if failures:
-        print(
-            f"\npartition scenario FAILED ({len(failures)} check(s)):",
-            file=sys.stderr,
-        )
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print(
-        "\npartition scenario passed: the fabric carried the fleet, partitions "
+        print_fleet_audit(fleet)
+    return check.verdict(
+        "partition scenario",
+        "passed: the fabric carried the fleet, partitions "
         "were classified and journaled, the stale leader was fenced, and the "
-        "heal reconciled every copy"
+        "heal reconciled every copy",
     )
-    return 0
+
+
+#: Every option a scenario takes, declared once: its type (or action)
+#: and its usual help text.  ``_SUBCOMMANDS`` says which options each
+#: scenario takes, in order, with that scenario's default — and its own
+#: help text where the wording differs.
+_OPTIONS = {
+    "--sockets": dict(type=int),
+    "--cores": dict(type=int, help="cores per socket"),
+    "--kernels": dict(type=int, help="fleet size (minimum 3)"),
+    "--sites": dict(type=int, help="replication factor (minimum 3)"),
+    "--locks": dict(type=int, help="shard locks per busy kernel"),
+    "--tasks-per-lock": dict(type=int),
+    "--cs-ns": dict(type=int, help="critical-section length"),
+    "--duration-ms": dict(
+        type=float, help="simulated workload duration in milliseconds"
+    ),
+    "--max-regression": dict(
+        type=float, help="per-kernel SLO guard avg-wait regression budget"
+    ),
+    "--max-concurrent-kernels": dict(
+        type=int, help="wave width after the canary wave"
+    ),
+    "--quorum": dict(
+        type=float,
+        help="fraction of kernels that must pass for the degraded rollout",
+    ),
+    "--journal-dir": dict(
+        help="directory for the per-kernel + fleet journals "
+        "(default: a fresh temp directory)"
+    ),
+    "--seed": dict(type=int),
+    "--audit": dict(action="store_true", help="print the full audit log"),
+    "--journal": dict(help="journal path (default: a fresh temp directory)"),
+    "--max-tail-regression": dict(type=float),
+    "--rate-per-ms": dict(
+        type=float,
+        help="base Poisson arrival rate per kernel (events per simulated ms)",
+    ),
+    "--burst-scale": dict(type=float, help="rate multiplier during the burst phase"),
+    "--waiter-penalty-ns": dict(
+        type=int,
+        help="per-active-waiter hold inflation (the coherence collapse "
+        "physics; high enough that the collapsed service rate falls "
+        "below the base arrival rate)",
+    ),
+    "--trace-seed": dict(
+        type=int,
+        help="trace-generator seed (the burst shape; kernel seeds come "
+        "from --seed)",
+    ),
+    "--max-skew-increase": dict(
+        type=float,
+        help="phase 3's tightened per-socket fairness budget (the "
+        "over-aggressive cap must blow through it)",
+    ),
+}
+
+_LOCKS_ONE_KERNEL = "shard locks to register"
+_PAPER_BUDGET = " (default: the paper's 20%%)"
+_TMP_JOURNAL_DIR = "fleet journal directory (default: tmpdir)"
+_REQUEST_CS = "per-request hold time"
+_TRACE_DURATION = "trace duration in simulated milliseconds"
+
+#: Option runs several scenarios share, in the order they take them.
+_MACHINE = (("--sockets", 2), ("--cores", 8))
+_ONE_KERNEL = (
+    ("--locks", 4, _LOCKS_ONE_KERNEL),
+    ("--tasks-per-lock", 4),
+    ("--cs-ns", 300),
+    ("--duration-ms", 4.0),
+)
+_FLEET = (
+    ("--locks", 4),
+    ("--tasks-per-lock", 4),
+    ("--cs-ns", 300),
+    ("--duration-ms", 8.0),
+    ("--max-regression", 0.20),
+    ("--max-concurrent-kernels", 2),
+)
+_SEED_AUDIT = (("--seed", 7), ("--audit", False))
+
+#: ``(name, runner, help, options)``; each option is ``(flag, default)``
+#: or ``(flag, default, help)``.
+_SUBCOMMANDS = (
+    (
+        "rollout",
+        run_rollout_scenario,
+        "bad policy canaries and rolls back; good policy goes ACTIVE",
+        (
+            *_MACHINE,
+            *_ONE_KERNEL,
+            ("--max-regression", 0.20, "SLO guard avg-wait regression budget" + _PAPER_BUDGET),
+            ("--seed", 7),
+            ("--kernels", 1, "run the scenario on N independent kernels (default 1)"),
+            ("--audit", False),
+        ),
+    ),
+    (
+        "drill",
+        run_drill_scenario,
+        "kill the daemon mid-canary, recover from the journal, "
+        "then trip the circuit breaker",
+        (
+            *_MACHINE,
+            *_ONE_KERNEL,
+            ("--journal", None),
+            ("--seed", 7),
+            ("--kernels", 1, "drill N independent kernels, each on its own journal shard"),
+            ("--audit", False),
+        ),
+    ),
+    (
+        "fleet",
+        run_fleet_scenario,
+        "placement-aware waves across many kernels: bad policy halts "
+        "the fleet and reverts; good policy goes fleet-wide; mid-wave "
+        "crash recovers from the journals",
+        (*_MACHINE, ("--kernels", 3), *_FLEET, ("--journal-dir", None), *_SEED_AUDIT),
+    ),
+    (
+        "fleet-degraded",
+        run_fleet_degraded_scenario,
+        "kill a member mid-wave: any-breach halts and converges to "
+        "stock, quorum completes degraded; reinstate + recover drains "
+        "the journaled revert debt",
+        (
+            *_MACHINE,
+            ("--kernels", 4, "fleet size (minimum 4)"),
+            *_FLEET,
+            ("--quorum", 0.5),
+            ("--journal-dir", None),
+            *_SEED_AUDIT,
+        ),
+    ),
+    (
+        "replicated",
+        run_replicated_scenario,
+        "journals replicated over N-site groups: leader death fails "
+        "over mid-wave, a recovered follower is read-gated until a "
+        "committed write, and concurrent overlapping rollouts "
+        "serialize (first committer wins)",
+        (*_MACHINE, ("--kernels", 3), ("--sites", 3), *_FLEET, *_SEED_AUDIT),
+    ),
+    (
+        "scrub",
+        run_scrub_scenario,
+        "flip bytes in replicated and unreplicated policy stores: "
+        "scrub detects, quorum peers repair, snapshots replay, and a "
+        "rotten unreplicated shard quarantines with salvage + debt",
+        (
+            *_MACHINE,
+            ("--kernels", 3),
+            ("--sites", 3),
+            *_FLEET,
+            (
+                "--journal-dir",
+                None,
+                "directory for phase 3's unreplicated journal shards "
+                "(default: a fresh temp directory)",
+            ),
+            *_SEED_AUDIT,
+        ),
+    ),
+    (
+        "partition",
+        run_partition_scenario,
+        "simulated network fabric: a mid-rollout partition halts "
+        "any-breach with classified rpc-exhausted debt, a deadline "
+        "rollout completes degraded under quorum, a scheduled "
+        "asymmetric split fences the stale leader, and the heal "
+        "reconciles every replica",
+        (
+            *_MACHINE,
+            ("--kernels", 4, "fleet size (minimum 4)"),
+            ("--sites", 3),
+            *_FLEET,
+            ("--quorum", 0.5, "fraction of kernels that must pass the degraded rollout"),
+            *_SEED_AUDIT,
+        ),
+    ),
+    (
+        "guards",
+        run_guards_scenario,
+        "tail guard catches a per-lock p99 regression the avg guard "
+        "misses; pooled fleet verdict trips on cross-kernel evidence",
+        (
+            ("--sockets", 2),
+            ("--cores", 8),
+            ("--locks", 4, _LOCKS_ONE_KERNEL),
+            ("--tasks-per-lock", 2),
+            ("--cs-ns", 400),
+            ("--duration-ms", 4.0),
+            ("--max-regression", 0.20, "avg-wait budget the old guard judges by" + _PAPER_BUDGET),
+            ("--max-tail-regression", 0.50, "per-lock p99 regression budget for the tail guard"),
+            ("--seed", 7),
+            ("--journal-dir", None, _TMP_JOURNAL_DIR),
+        ),
+    ),
+    (
+        "traffic",
+        run_traffic_scenario,
+        "trace-driven load: malthusian knee check, then the same "
+        "policy passes the pooled tail guard under a steady trace and "
+        "is halted with an attributed breach under a burst trace",
+        (
+            ("--sockets", 2),
+            ("--cores", 8),
+            ("--rate-per-ms", 150.0),
+            ("--burst-scale", 8.0),
+            ("--cs-ns", 500, _REQUEST_CS),
+            ("--duration-ms", 4.0, _TRACE_DURATION),
+            ("--max-tail-regression", 0.60, "pooled p99 regression budget for the tail guard"),
+            ("--seed", 7),
+            ("--journal-dir", None, _TMP_JOURNAL_DIR),
+            ("--audit", False),
+        ),
+    ),
+    (
+        "adapt",
+        run_adapt_scenario,
+        "adaptive overload defense: the loop detects a trace-driven "
+        "collapse on pooled fleet evidence, self-proposes a Malthusian "
+        "cull and keeps it; a mid-propose kill is recovered without "
+        "leaving an unjudged cull; an over-aggressive cap is rolled "
+        "back by the fairness guard",
+        (
+            ("--sockets", 2),
+            ("--cores", 4),
+            ("--rate-per-ms", 100.0),
+            ("--burst-scale", 8.0),
+            ("--cs-ns", 500, _REQUEST_CS),
+            ("--waiter-penalty-ns", 2000),
+            ("--duration-ms", 4.0, _TRACE_DURATION),
+            ("--trace-seed", 42),
+            ("--max-skew-increase", 0.10),
+            ("--seed", 42),
+            ("--journal-dir", None, "journal directory (default: tmpdir)"),
+            ("--audit", False),
+        ),
+    ),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -2717,447 +2438,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run scripted concordd control-plane scenarios.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    rollout = sub.add_parser(
-        "rollout", help="bad policy canaries and rolls back; good policy goes ACTIVE"
-    )
-    rollout.add_argument("--sockets", type=int, default=2)
-    rollout.add_argument("--cores", type=int, default=8, help="cores per socket")
-    rollout.add_argument("--locks", type=int, default=4, help="shard locks to register")
-    rollout.add_argument("--tasks-per-lock", type=int, default=4)
-    rollout.add_argument("--cs-ns", type=int, default=300, help="critical-section length")
-    rollout.add_argument(
-        "--duration-ms",
-        dest="duration_ms",
-        type=float,
-        default=4.0,
-        help="simulated workload duration in milliseconds",
-    )
-    rollout.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="SLO guard avg-wait regression budget (default: the paper's 20%%)",
-    )
-    rollout.add_argument("--seed", type=int, default=7)
-    rollout.add_argument(
-        "--kernels",
-        type=int,
-        default=1,
-        help="run the scenario on N independent kernels (default 1)",
-    )
-    rollout.add_argument("--audit", action="store_true", help="print the full audit log")
-    rollout.set_defaults(runner=run_rollout_scenario)
-
-    drill = sub.add_parser(
-        "drill",
-        help="kill the daemon mid-canary, recover from the journal, "
-        "then trip the circuit breaker",
-    )
-    drill.add_argument("--sockets", type=int, default=2)
-    drill.add_argument("--cores", type=int, default=8, help="cores per socket")
-    drill.add_argument("--locks", type=int, default=4, help="shard locks to register")
-    drill.add_argument("--tasks-per-lock", type=int, default=4)
-    drill.add_argument("--cs-ns", type=int, default=300, help="critical-section length")
-    drill.add_argument(
-        "--duration-ms",
-        dest="duration_ms",
-        type=float,
-        default=4.0,
-        help="simulated workload duration in milliseconds",
-    )
-    drill.add_argument(
-        "--journal",
-        default=None,
-        help="journal path (default: a fresh temp directory)",
-    )
-    drill.add_argument("--seed", type=int, default=7)
-    drill.add_argument(
-        "--kernels",
-        type=int,
-        default=1,
-        help="drill N independent kernels, each on its own journal shard",
-    )
-    drill.add_argument("--audit", action="store_true", help="print the full audit log")
-    drill.set_defaults(runner=run_drill_scenario)
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="placement-aware waves across many kernels: bad policy halts "
-        "the fleet and reverts; good policy goes fleet-wide; mid-wave "
-        "crash recovers from the journals",
-    )
-    fleet.add_argument("--sockets", type=int, default=2)
-    fleet.add_argument("--cores", type=int, default=8, help="cores per socket")
-    fleet.add_argument(
-        "--kernels", type=int, default=3, help="fleet size (minimum 3)"
-    )
-    fleet.add_argument(
-        "--locks", type=int, default=4, help="shard locks per busy kernel"
-    )
-    fleet.add_argument("--tasks-per-lock", type=int, default=4)
-    fleet.add_argument("--cs-ns", type=int, default=300, help="critical-section length")
-    fleet.add_argument(
-        "--duration-ms",
-        dest="duration_ms",
-        type=float,
-        default=8.0,
-        help="simulated workload duration in milliseconds",
-    )
-    fleet.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="per-kernel SLO guard avg-wait regression budget",
-    )
-    fleet.add_argument(
-        "--max-concurrent-kernels",
-        type=int,
-        default=2,
-        help="wave width after the canary wave",
-    )
-    fleet.add_argument(
-        "--journal-dir",
-        default=None,
-        help="directory for the per-kernel + fleet journals "
-        "(default: a fresh temp directory)",
-    )
-    fleet.add_argument("--seed", type=int, default=7)
-    fleet.add_argument("--audit", action="store_true", help="print the full audit log")
-    fleet.set_defaults(runner=run_fleet_scenario)
-
-    degraded = sub.add_parser(
-        "fleet-degraded",
-        help="kill a member mid-wave: any-breach halts and converges to "
-        "stock, quorum completes degraded; reinstate + recover drains "
-        "the journaled revert debt",
-    )
-    degraded.add_argument("--sockets", type=int, default=2)
-    degraded.add_argument("--cores", type=int, default=8, help="cores per socket")
-    degraded.add_argument(
-        "--kernels", type=int, default=4, help="fleet size (minimum 4)"
-    )
-    degraded.add_argument(
-        "--locks", type=int, default=4, help="shard locks per busy kernel"
-    )
-    degraded.add_argument("--tasks-per-lock", type=int, default=4)
-    degraded.add_argument("--cs-ns", type=int, default=300, help="critical-section length")
-    degraded.add_argument(
-        "--duration-ms",
-        dest="duration_ms",
-        type=float,
-        default=8.0,
-        help="simulated workload duration in milliseconds",
-    )
-    degraded.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="per-kernel SLO guard avg-wait regression budget",
-    )
-    degraded.add_argument(
-        "--max-concurrent-kernels",
-        type=int,
-        default=2,
-        help="wave width after the canary wave",
-    )
-    degraded.add_argument(
-        "--quorum",
-        type=float,
-        default=0.5,
-        help="fraction of kernels that must pass for the degraded rollout",
-    )
-    degraded.add_argument(
-        "--journal-dir",
-        default=None,
-        help="directory for the per-kernel + fleet journals "
-        "(default: a fresh temp directory)",
-    )
-    degraded.add_argument("--seed", type=int, default=7)
-    degraded.add_argument("--audit", action="store_true", help="print the full audit log")
-    degraded.set_defaults(runner=run_fleet_degraded_scenario)
-
-    replicated = sub.add_parser(
-        "replicated",
-        help="journals replicated over N-site groups: leader death fails "
-        "over mid-wave, a recovered follower is read-gated until a "
-        "committed write, and concurrent overlapping rollouts "
-        "serialize (first committer wins)",
-    )
-    replicated.add_argument("--sockets", type=int, default=2)
-    replicated.add_argument("--cores", type=int, default=8, help="cores per socket")
-    replicated.add_argument(
-        "--kernels", type=int, default=3, help="fleet size (minimum 3)"
-    )
-    replicated.add_argument(
-        "--sites", type=int, default=3, help="replication factor (minimum 3)"
-    )
-    replicated.add_argument(
-        "--locks", type=int, default=4, help="shard locks per busy kernel"
-    )
-    replicated.add_argument("--tasks-per-lock", type=int, default=4)
-    replicated.add_argument("--cs-ns", type=int, default=300, help="critical-section length")
-    replicated.add_argument(
-        "--duration-ms",
-        dest="duration_ms",
-        type=float,
-        default=8.0,
-        help="simulated workload duration in milliseconds",
-    )
-    replicated.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="per-kernel SLO guard avg-wait regression budget",
-    )
-    replicated.add_argument(
-        "--max-concurrent-kernels",
-        type=int,
-        default=2,
-        help="wave width after the canary wave",
-    )
-    replicated.add_argument("--seed", type=int, default=7)
-    replicated.add_argument("--audit", action="store_true", help="print the full audit log")
-    replicated.set_defaults(runner=run_replicated_scenario)
-
-    scrub = sub.add_parser(
-        "scrub",
-        help="flip bytes in replicated and unreplicated policy stores: "
-        "scrub detects, quorum peers repair, snapshots replay, and a "
-        "rotten unreplicated shard quarantines with salvage + debt",
-    )
-    scrub.add_argument("--sockets", type=int, default=2)
-    scrub.add_argument("--cores", type=int, default=8, help="cores per socket")
-    scrub.add_argument(
-        "--kernels", type=int, default=3, help="fleet size (minimum 3)"
-    )
-    scrub.add_argument(
-        "--sites", type=int, default=3, help="replication factor (minimum 3)"
-    )
-    scrub.add_argument(
-        "--locks", type=int, default=4, help="shard locks per busy kernel"
-    )
-    scrub.add_argument("--tasks-per-lock", type=int, default=4)
-    scrub.add_argument("--cs-ns", type=int, default=300, help="critical-section length")
-    scrub.add_argument(
-        "--duration-ms",
-        dest="duration_ms",
-        type=float,
-        default=8.0,
-        help="simulated workload duration in milliseconds",
-    )
-    scrub.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="per-kernel SLO guard avg-wait regression budget",
-    )
-    scrub.add_argument(
-        "--max-concurrent-kernels",
-        type=int,
-        default=2,
-        help="wave width after the canary wave",
-    )
-    scrub.add_argument(
-        "--journal-dir",
-        default=None,
-        help="directory for phase 3's unreplicated journal shards "
-        "(default: a fresh temp directory)",
-    )
-    scrub.add_argument("--seed", type=int, default=7)
-    scrub.add_argument("--audit", action="store_true", help="print the full audit log")
-    scrub.set_defaults(runner=run_scrub_scenario)
-
-    partition = sub.add_parser(
-        "partition",
-        help="simulated network fabric: a mid-rollout partition halts "
-        "any-breach with classified rpc-exhausted debt, a deadline "
-        "rollout completes degraded under quorum, a scheduled "
-        "asymmetric split fences the stale leader, and the heal "
-        "reconciles every replica",
-    )
-    partition.add_argument("--sockets", type=int, default=2)
-    partition.add_argument("--cores", type=int, default=8, help="cores per socket")
-    partition.add_argument(
-        "--kernels", type=int, default=4, help="fleet size (minimum 4)"
-    )
-    partition.add_argument(
-        "--sites", type=int, default=3, help="replication factor (minimum 3)"
-    )
-    partition.add_argument(
-        "--locks", type=int, default=4, help="shard locks per busy kernel"
-    )
-    partition.add_argument("--tasks-per-lock", type=int, default=4)
-    partition.add_argument("--cs-ns", type=int, default=300, help="critical-section length")
-    partition.add_argument(
-        "--duration-ms",
-        dest="duration_ms",
-        type=float,
-        default=8.0,
-        help="simulated workload duration in milliseconds",
-    )
-    partition.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="per-kernel SLO guard avg-wait regression budget",
-    )
-    partition.add_argument(
-        "--max-concurrent-kernels",
-        type=int,
-        default=2,
-        help="wave width after the canary wave",
-    )
-    partition.add_argument(
-        "--quorum",
-        type=float,
-        default=0.5,
-        help="fraction of kernels that must pass the degraded rollout",
-    )
-    partition.add_argument("--seed", type=int, default=7)
-    partition.add_argument("--audit", action="store_true", help="print the full audit log")
-    partition.set_defaults(runner=run_partition_scenario)
-
-    guards = sub.add_parser(
-        "guards",
-        help="tail guard catches a per-lock p99 regression the avg guard "
-        "misses; pooled fleet verdict trips on cross-kernel evidence",
-    )
-    guards.add_argument("--sockets", type=int, default=2)
-    guards.add_argument("--cores", type=int, default=8, help="cores per socket")
-    guards.add_argument("--locks", type=int, default=4, help="shard locks to register")
-    guards.add_argument("--tasks-per-lock", type=int, default=2)
-    guards.add_argument("--cs-ns", type=int, default=400, help="critical-section length")
-    guards.add_argument(
-        "--duration-ms",
-        dest="duration_ms",
-        type=float,
-        default=4.0,
-        help="simulated workload duration in milliseconds",
-    )
-    guards.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="avg-wait budget the old guard judges by (default: the paper's 20%%)",
-    )
-    guards.add_argument(
-        "--max-tail-regression",
-        type=float,
-        default=0.50,
-        help="per-lock p99 regression budget for the tail guard",
-    )
-    guards.add_argument("--seed", type=int, default=7)
-    guards.add_argument(
-        "--journal-dir", default=None, help="fleet journal directory (default: tmpdir)"
-    )
-    guards.set_defaults(runner=run_guards_scenario)
-
-    traffic = sub.add_parser(
-        "traffic",
-        help="trace-driven load: malthusian knee check, then the same "
-        "policy passes the pooled tail guard under a steady trace and "
-        "is halted with an attributed breach under a burst trace",
-    )
-    traffic.add_argument("--sockets", type=int, default=2)
-    traffic.add_argument("--cores", type=int, default=8, help="cores per socket")
-    traffic.add_argument(
-        "--rate-per-ms",
-        dest="rate_per_ms",
-        type=float,
-        default=150.0,
-        help="base Poisson arrival rate per kernel (events per simulated ms)",
-    )
-    traffic.add_argument(
-        "--burst-scale",
-        dest="burst_scale",
-        type=float,
-        default=8.0,
-        help="rate multiplier during the burst phase",
-    )
-    traffic.add_argument("--cs-ns", type=int, default=500, help="per-request hold time")
-    traffic.add_argument(
-        "--duration-ms",
-        dest="duration_ms",
-        type=float,
-        default=4.0,
-        help="trace duration in simulated milliseconds",
-    )
-    traffic.add_argument(
-        "--max-tail-regression",
-        type=float,
-        default=0.60,
-        help="pooled p99 regression budget for the tail guard",
-    )
-    traffic.add_argument("--seed", type=int, default=7)
-    traffic.add_argument(
-        "--journal-dir", default=None, help="fleet journal directory (default: tmpdir)"
-    )
-    traffic.add_argument("--audit", action="store_true", help="print the full audit log")
-    traffic.set_defaults(runner=run_traffic_scenario)
-
-    adapt = sub.add_parser(
-        "adapt",
-        help="adaptive overload defense: the loop detects a trace-driven "
-        "collapse on pooled fleet evidence, self-proposes a Malthusian "
-        "cull and keeps it; a mid-propose kill is recovered without "
-        "leaving an unjudged cull; an over-aggressive cap is rolled "
-        "back by the fairness guard",
-    )
-    adapt.add_argument("--sockets", type=int, default=2)
-    adapt.add_argument("--cores", type=int, default=4, help="cores per socket")
-    adapt.add_argument(
-        "--rate-per-ms",
-        dest="rate_per_ms",
-        type=float,
-        default=100.0,
-        help="base Poisson arrival rate per kernel (events per simulated ms)",
-    )
-    adapt.add_argument(
-        "--burst-scale",
-        dest="burst_scale",
-        type=float,
-        default=8.0,
-        help="rate multiplier during the burst phase",
-    )
-    adapt.add_argument("--cs-ns", type=int, default=500, help="per-request hold time")
-    adapt.add_argument(
-        "--waiter-penalty-ns",
-        dest="waiter_penalty_ns",
-        type=int,
-        default=2000,
-        help="per-active-waiter hold inflation (the coherence collapse "
-        "physics; high enough that the collapsed service rate falls "
-        "below the base arrival rate)",
-    )
-    adapt.add_argument(
-        "--duration-ms",
-        dest="duration_ms",
-        type=float,
-        default=4.0,
-        help="trace duration in simulated milliseconds",
-    )
-    adapt.add_argument(
-        "--trace-seed",
-        dest="trace_seed",
-        type=int,
-        default=42,
-        help="trace-generator seed (the burst shape; kernel seeds come "
-        "from --seed)",
-    )
-    adapt.add_argument(
-        "--max-skew-increase",
-        dest="max_skew_increase",
-        type=float,
-        default=0.10,
-        help="phase 3's tightened per-socket fairness budget (the "
-        "over-aggressive cap must blow through it)",
-    )
-    adapt.add_argument("--seed", type=int, default=42)
-    adapt.add_argument(
-        "--journal-dir", default=None, help="journal directory (default: tmpdir)"
-    )
-    adapt.add_argument("--audit", action="store_true", help="print the full audit log")
-    adapt.set_defaults(runner=run_adapt_scenario)
+    for name, runner, help_text, options in _SUBCOMMANDS:
+        scenario = sub.add_parser(name, help=help_text)
+        for flag, default, *own_help in options:
+            spec = dict(_OPTIONS[flag], default=default)
+            if own_help:
+                spec["help"] = own_help[0]
+            scenario.add_argument(flag, **spec)
+        scenario.set_defaults(runner=runner)
     return parser
 
 

@@ -11,41 +11,20 @@ from repro.concord.policies.numa import make_numa_policy
 from repro.concord.policy import PolicySpec
 from repro.controlplane import PolicySubmission, SLOGuard
 from repro.fleet import FleetManager, PlacementMap
-from repro.kernel import Kernel
-from repro.locks import ShflLock
 from repro.locks.base import HOOK_LOCK_ACQUIRED
-from repro.sim import Topology, ops
 from repro.tools.concordd import bad_numa_submission
+from repro.tools.scenario import shard_kernel, spawn_shard_workload
 
 WORKLOAD_NS = 6_000_000
 WINDOW_NS = 200_000
+#: Critical-section length of every test fleet's shard workload.
+CS_NS = 900
 
 METER_SOURCE = """
 def meter(ctx):
     hits.add(ctx.tid, 1)
     return 0
 """
-
-
-def spawn_shard_workload(kernel, stop_at, tasks_per_lock, cs_ns=900):
-    tasks = []
-    cpu = 0
-    for name in kernel.locks.select_names("svc.*.lock"):
-        site = kernel.locks.get(name)
-        for _ in range(tasks_per_lock):
-
-            def worker(task, site=site):
-                task.stats["ops"] = 0
-                while task.engine.now < stop_at:
-                    yield from site.acquire(task)
-                    yield ops.Delay(cs_ns)
-                    yield from site.release(task)
-                    task.stats["ops"] += 1
-                    yield ops.Delay(120)
-
-            tasks.append(kernel.spawn(worker, cpu=cpu % kernel.topology.nr_cpus))
-            cpu += 1
-    return tasks
 
 
 def add_member(
@@ -58,16 +37,12 @@ def add_member(
     workload_ns=WORKLOAD_NS,
     **daemon_kwargs,
 ):
-    kernel = Kernel(Topology(sockets=2, cores_per_socket=4), seed=seed)
-    for index in range(locks):
-        kernel.add_lock(
-            f"svc.shard{index}.lock", ShflLock(kernel.engine, name=f"shard{index}")
-        )
+    kernel = shard_kernel(2, 4, seed, locks)
     daemon_kwargs.setdefault("guard", SLOGuard(max_avg_wait_regression=max_regression))
     daemon_kwargs.setdefault("canary_fraction", 0.5)
     member = fleet.register(name, kernel, **daemon_kwargs)
     if workload_ns:
-        spawn_shard_workload(kernel, kernel.now + workload_ns, tasks_per_lock)
+        spawn_shard_workload(kernel, kernel.now + workload_ns, tasks_per_lock, CS_NS)
     return member
 
 

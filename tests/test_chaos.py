@@ -45,19 +45,13 @@ from repro.fleet import (
     RolloutPlanner,
 )
 from repro.kernel import Kernel
-from repro.locks import ShflLock
 from repro.locks.culling import CullingLock
 from repro.workloads.malthus import MalthusianBench
 from repro.locks.base import HOOK_LOCK_ACQUIRED
 from repro.sim import Topology
+from repro.tools.scenario import shard_kernel, spawn_shard_workload
 
-from tests._fleet_util import (
-    ROLLOUT_KWARGS,
-    add_member,
-    good_factory,
-    learn,
-    spawn_shard_workload,
-)
+from tests._fleet_util import CS_NS, ROLLOUT_KWARGS, add_member, good_factory, learn
 
 PLANNER = dict(max_concurrent_kernels=2, canary_kernels=1, bake_ns=100_000)
 
@@ -96,11 +90,7 @@ def test_chaos_single_kernel_rollout(chaos_seed):
     """One daemon, one journal, a sampled adversary; after the dust
     settles and recovery runs, the kernel holds exactly what the
     records say it holds."""
-    kernel = Kernel(Topology(sockets=2, cores_per_socket=4), seed=chaos_seed)
-    for index in range(3):
-        kernel.add_lock(
-            f"svc.shard{index}.lock", ShflLock(kernel.engine, name=f"shard{index}")
-        )
+    kernel = shard_kernel(2, 4, chaos_seed, 3)
     concord = Concord(kernel)
     journal = PolicyJournal()
     daemon = Concordd(
@@ -110,7 +100,7 @@ def test_chaos_single_kernel_rollout(chaos_seed):
         canary_fraction=0.5,
     )
     daemon.register_client("ops", allowed_selectors=("svc.*",))
-    spawn_shard_workload(kernel, kernel.now + 6_000_000, tasks_per_lock=2)
+    spawn_shard_workload(kernel, kernel.now + 6_000_000, 2, CS_NS)
 
     submission = PolicySubmission(
         spec=PolicySpec(

@@ -1,8 +1,23 @@
 """The ``concordd`` CLI scenario — the PR's end-to-end acceptance run."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.tools import concordd
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def _python(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, check=False
+    )
 
 
 def test_rollout_scenario_passes(capsys):
@@ -99,3 +114,24 @@ def test_bad_numa_submission_is_a_two_spec_bundle():
     assert [s.hook for s in sub.specs] == ["cmp_node", "lock_acquired"]
     assert sub.name == "bad-numa"
     assert {s.lock_selector for s in sub.specs} == {"svc.*.lock"}
+
+
+def test_importing_the_library_does_not_load_the_cli():
+    probe = _python(
+        "-c",
+        "import sys, repro; print('repro.tools.concordd' in sys.modules)",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    # ``-W error`` turns runpy's "found in sys.modules" warning into a
+    # crash, so exit 2 proves the usage error was reached warning-free.
+    run = _python(
+        "-W", "error::RuntimeWarning", "-m", "repro.tools.concordd",
+        "rollout", "--kernels", "0",
+    )
+    assert run.returncode == 2, run.stderr
+    assert "RuntimeWarning" not in run.stderr
+    assert run.stderr.startswith("error: rollout scenario needs --kernels >= 1")

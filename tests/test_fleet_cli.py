@@ -58,6 +58,14 @@ def test_fleet_requires_three_kernels(capsys):
     assert "needs --kernels >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["rollout", "drill"])
+def test_per_kernel_scenarios_require_a_kernel(capsys, scenario):
+    # Zero kernels would run nothing and pass vacuously.
+    assert concordd.main([scenario, "--kernels", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {scenario} scenario needs --kernels >= 1" in err
+
+
 def test_fleet_degraded_scenario_passes(capsys, tmp_path):
     code = concordd.main(
         [

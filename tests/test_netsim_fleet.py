@@ -28,12 +28,13 @@ from repro.netsim import Fabric, LinkModel, sample_partition_schedule
 from repro.replication import NoQuorum, ReplicaGroup, StaleLeaderFenced
 from repro.replication.site import SiteState
 from repro.storage import Scrubber
+from repro.tools.scenario import spawn_shard_workload
 
 from tests._fleet_util import (
+    CS_NS,
     ROLLOUT_KWARGS,
     good_factory,
     learn,
-    spawn_shard_workload,
     three_kernel_fleet,
 )
 from tests.test_chaos import assert_converged_and_debt_free
@@ -290,5 +291,5 @@ def test_chaos_partitions_never_split_fleet_or_strand_debt(chaos_seed):
     # re-arms the workload the burned sim-time drained.
     fabric.heal()
     for member in fleet.members():
-        spawn_shard_workload(member.kernel, member.kernel.now + 6_000_000, 2)
+        spawn_shard_workload(member.kernel, member.kernel.now + 6_000_000, 2, CS_NS)
     assert_converged_and_debt_free(fleet, journal, "numa-good")

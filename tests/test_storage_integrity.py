@@ -78,9 +78,12 @@ class TestRecordFraming:
         entry = {"kind": "client", "client": "ops", "n": 3}
         assert decode_record(encode_record(7, entry)) == (7, entry)
 
-    def test_legacy_v1_lines_decode_with_no_seq(self):
+    def test_bare_dict_line_is_corruption(self):
+        # There is no unframed record format: a bare entry dict carries
+        # no checksum, so it must not decode.
         entry = {"kind": "client", "client": "ops"}
-        assert decode_record(json.dumps(entry)) == (None, entry)
+        with pytest.raises(RecordCorruption):
+            decode_record(json.dumps(entry))
 
     def test_every_single_byte_flip_is_detected(self):
         line = encode_record(3, sample_entries()[1])
@@ -145,18 +148,21 @@ class TestJournalIntegrity:
             seqs = [decode_record(line)[0] for line in fh if line.strip()]
         assert seqs == list(range(1, len(sample_entries()) + 1))
 
-    def test_legacy_v1_journal_reads_transparently(self, tmp_path):
+    def test_bare_journal_line_is_corruption_unless_final(self, tmp_path):
+        # An unframed line mid-journal is rot, reported with its line;
+        # as the final line it is what a torn write leaves, and dropped.
         path = str(tmp_path / "journal.jsonl")
-        legacy = [{"kind": "client", "client": "a"}, {"kind": "client", "client": "b"}]
+        first = {"kind": "client", "client": "a"}
+        bare = json.dumps({"kind": "client", "client": "b"}) + "\n"
         with open(path, "w") as fh:
-            fh.writelines(json.dumps(e) + "\n" for e in legacy)
-        journal = PolicyJournal(path)
-        assert journal.entries() == legacy
-        journal.append({"kind": "heartbeat", "member": "k0", "ts": 1})
-        assert len(PolicyJournal(path).entries()) == 3
-        with open(path) as fh:
-            last = [line for line in fh if line.strip()][-1]
-        assert decode_record(last)[0] == 1  # new line is framed v2
+            fh.write(encode_record(1, first) + "\n" + bare)
+            fh.write(encode_record(2, {"kind": "client", "client": "c"}) + "\n")
+        with pytest.raises(JournalCorruption) as caught:
+            PolicyJournal(path).entries()
+        assert caught.value.line == 2
+        with open(path, "w") as fh:
+            fh.write(encode_record(1, first) + "\n" + bare)
+        assert PolicyJournal(path).entries() == [first]
 
     def test_corruption_error_names_line_path_and_member(self, tmp_path):
         path = str(tmp_path / "k1.jsonl")
