@@ -48,8 +48,8 @@ mutex.  That is the Malthusian insight in one number: a saturated lock
 needs roughly one holder plus one spinning successor to keep handoffs
 cheap, and every admitted waiter beyond that was already pure coherence
 overhead at peak.  The cull therefore parks everyone beyond
-``max(min_cap, ceil(L))`` — in practice ``min_cap`` (default 2: holder
-+ one spinner) for any saturated lock.
+``max(min_cap, ceil(L))`` — in practice ``min_cap`` (2: holder + one
+spinner) for any saturated lock.
 """
 
 from __future__ import annotations
@@ -114,25 +114,19 @@ class _Reference(NamedTuple):
 class CollapseDetector:
     """Recognize the collapse signature in successive profiler windows."""
 
-    def __init__(
-        self,
-        p99_blowup: float = 3.0,
-        rate_drop: float = 0.25,
-        min_acquired: int = 20,
-        tail_floor_ns: float = 200.0,
-        min_cap: int = 2,
-        max_cap: int = 8,
-    ) -> None:
-        if p99_blowup <= 1.0:
-            raise ValueError(f"p99_blowup must be > 1, got {p99_blowup}")
-        if not 0.0 < rate_drop < 1.0:
-            raise ValueError(f"rate_drop must be in (0, 1), got {rate_drop}")
-        self.p99_blowup = p99_blowup
-        self.rate_drop = rate_drop
-        self.min_acquired = min_acquired
-        self.tail_floor_ns = tail_floor_ns
-        self.min_cap = min_cap
-        self.max_cap = max_cap
+    #: A collapsed window's p99 is at least this many reference tails.
+    p99_blowup = 3.0
+    #: ... and its rate at most ``1 - rate_drop`` of the reference rate.
+    rate_drop = 0.25
+    #: Windows with fewer acquisitions for a lock are not judged.
+    min_acquired = 20
+    #: Reference tails are clamped up to this before the blowup test.
+    tail_floor_ns = 200.0
+    #: Bounds on the suggested cull cap.
+    min_cap = 2
+    max_cap = 8
+
+    def __init__(self) -> None:
         self._references: Dict[str, _Reference] = {}
 
     def reference(self, lock_name: str) -> Optional[_Reference]:
@@ -279,19 +273,22 @@ class AdaptationLoop:
     correctness.
     """
 
+    #: A kept cull's post-promotion p99 may be at most this many
+    #: collapsed tails (see :meth:`_judge_clearance`).
+    max_residual_tail = 2.0
+    #: ... and its rate must be back above this share of the reference.
+    recover_fraction = 0.75
+
     def __init__(
         self,
         daemon=None,
         coordinator=None,
-        detector: Optional[CollapseDetector] = None,
         guard: Optional[Guard] = None,
         selector: str = "*",
         window_ns: int = 200_000,
         baseline_ns: int = 60_000,
         canary_ns: int = 60_000,
         check_every_ns: int = 20_000,
-        max_residual_tail: float = 2.0,
-        recover_fraction: float = 0.75,
         cap_override: Optional[int] = None,
         client_id: str = "adaptd",
     ) -> None:
@@ -299,15 +296,13 @@ class AdaptationLoop:
             raise ValueError("pass exactly one of daemon= or coordinator=")
         self.daemon = daemon
         self.coordinator = coordinator
-        self.detector = detector if detector is not None else CollapseDetector()
+        self.detector = CollapseDetector()
         self.guard = guard if guard is not None else default_cull_guard()
         self.selector = selector
         self.window_ns = window_ns
         self.baseline_ns = baseline_ns
         self.canary_ns = canary_ns
         self.check_every_ns = check_every_ns
-        self.max_residual_tail = max_residual_tail
-        self.recover_fraction = recover_fraction
         self.cap_override = cap_override
         self.client_id = client_id
         #: lock name -> number of proposals ever made for it (names the

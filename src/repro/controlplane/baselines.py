@@ -96,19 +96,16 @@ class LearnedBaseline:
     JSON-safe dict (:meth:`serialize` / :meth:`load`) for journaling.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        min_samples: int = 3,
-        min_acquired: int = 20,
-        metrics: Sequence[str] = BASELINE_METRICS,
-    ) -> None:
+    #: Windows with fewer acquisitions for a lock are skipped for it.
+    min_acquired = 20
+    #: The metrics learned per lock.
+    metrics = BASELINE_METRICS
+
+    def __init__(self, alpha: float = 0.3, min_samples: int = 3) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
         self.min_samples = min_samples
-        self.min_acquired = min_acquired
-        self.metrics = tuple(metrics)
         self._locks: Dict[str, Dict[str, MetricBaseline]] = {}
 
     def observe(self, report: ProfileReport) -> int:
@@ -197,21 +194,22 @@ class BaselineGuard(Guard):
     trusted yet" semantics the SLO guards use for cold windows.
     """
 
+    #: The budget is the learned mean plus this many standard deviations.
+    k_sigma = 3.0
+    #: Canary locks with fewer acquisitions are not judged.
+    min_acquired = 20
+    #: The metrics judged (every metric :class:`LearnedBaseline` learns).
+    metrics = BASELINE_METRICS
+
     def __init__(
         self,
         baselines: LearnedBaseline,
-        k_sigma: float = 3.0,
         dry_run: bool = True,
-        min_acquired: int = 20,
         floor_ns: float = 100.0,
-        metrics: Optional[Sequence[str]] = None,
     ) -> None:
         self.baselines = baselines
-        self.k_sigma = k_sigma
         self.dry_run = dry_run
-        self.min_acquired = min_acquired
         self.floor_ns = floor_ns
-        self.metrics = tuple(metrics) if metrics is not None else baselines.metrics
 
     def evaluate(self, baseline: ProfileReport, canary: ProfileReport) -> GuardVerdict:
         deltas, missing = _lock_deltas(baseline, canary)

@@ -67,7 +67,6 @@ class CanaryRollout:
         check_every_ns: Optional[int] = None,
         settle_ns: int = 2_000,
         max_snapshot_stalls: int = DEFAULT_MAX_SNAPSHOT_STALLS,
-        drain_deadline_ns: Optional[int] = None,
         canary_locks: Optional[List[str]] = None,
     ) -> PolicyRecord:
         """Drive one record VERIFIED → CANARY → ACTIVE/ROLLED_BACK.
@@ -76,18 +75,11 @@ class CanaryRollout:
         an explicit one (the fleet planner's placement-aware pick); every
         name must be inside the selector's resolved targets.
 
-        Robustness knobs:
-
-        * ``max_snapshot_stalls`` — the **canary watchdog**: a watch
-          window whose profiler snapshots keep stalling can never
-          produce a verdict, so after this many *consecutive* stalls
-          the window is force-resolved to ROLLED_BACK rather than
-          left running an unjudged policy.
-        * ``drain_deadline_ns`` — passed to the livepatcher as a
-          quiesce deadline for every canary impl switch (``None`` keeps
-          the unbounded legacy drain).  A switch that cannot quiesce
-          raises :class:`~repro.livepatch.PatchError`, which resolves
-          the record to ROLLED_BACK with everything unwound.
+        ``max_snapshot_stalls`` is the **canary watchdog**: a watch
+        window whose profiler snapshots keep stalling can never produce
+        a verdict, so after this many *consecutive* stalls the window is
+        force-resolved to ROLLED_BACK rather than left running an
+        unjudged policy.
         """
         if record.state is not PolicyState.VERIFIED:
             from .lifecycle import LifecycleError
@@ -124,7 +116,7 @@ class CanaryRollout:
 
         # -- 2. install on the canary subset ---------------------------
         try:
-            self._install(record, canary_locks, drain_deadline_ns)
+            self._install(record, canary_locks)
         except Exception as exc:
             # _install unwound everything it had applied; the record
             # resolves terminally so quota and audit stay truthful.
@@ -225,29 +217,17 @@ class CanaryRollout:
         return record
 
     # ------------------------------------------------------------------
-    def _install(
-        self,
-        record: PolicyRecord,
-        lock_names: List[str],
-        drain_deadline_ns: Optional[int] = None,
-    ) -> None:
+    def _install(self, record: PolicyRecord, lock_names: List[str]) -> None:
         submission = record.submission
         loaded = []
         applied = []
-        drain_kwargs = (
-            {"quiesce_deadline_ns": drain_deadline_ns}
-            if drain_deadline_ns is not None
-            else {}
-        )
         try:
             for spec in submission.specs:
                 loaded.append(self.concord.load_policy(spec, targets=lock_names))
             if submission.impl_factory is not None:
                 for name in lock_names:
                     applied.append(
-                        self.concord.switch_lock(
-                            name, submission.impl_factory, **drain_kwargs
-                        )
+                        self.concord.switch_lock(name, submission.impl_factory)
                     )
         except Exception:
             # Unwind *everything* partially applied — later patches

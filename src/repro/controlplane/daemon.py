@@ -73,8 +73,6 @@ class Concordd:
         max_snapshot_stalls: canary-watchdog tolerance — consecutive
             profiler-snapshot stalls before a watch window is
             force-resolved to ROLLED_BACK.
-        drain_deadline_ns: quiesce deadline for canary impl switches
-            (``None`` keeps the unbounded legacy drain).
         journal: optional :class:`~repro.controlplane.journal.PolicyJournal`
             making every submission and transition crash-safe; required
             for :meth:`recover`.
@@ -95,7 +93,6 @@ class Concordd:
         canary_ns: int = 400_000,
         check_every_ns: Optional[int] = None,
         max_snapshot_stalls: int = 3,
-        drain_deadline_ns: Optional[int] = None,
         journal=None,
         impl_registry: Optional[Dict[str, object]] = None,
         budget: Optional[KernelBudget] = None,
@@ -109,7 +106,6 @@ class Concordd:
         self.canary_ns = canary_ns
         self.check_every_ns = check_every_ns
         self.max_snapshot_stalls = max_snapshot_stalls
-        self.drain_deadline_ns = drain_deadline_ns
         self.journal = journal
         self.baselines = baselines
         self.impl_registry: Dict[str, object] = dict(impl_registry or {})
@@ -255,7 +251,6 @@ class Concordd:
             check_every_ns=check_every_ns if check_every_ns is not None else self.check_every_ns,
             settle_ns=settle_ns,
             max_snapshot_stalls=self.max_snapshot_stalls,
-            drain_deadline_ns=self.drain_deadline_ns,
             canary_locks=canary_locks,
         )
         self._observe_baselines(result)

@@ -18,6 +18,7 @@ from .chaos import (
     CHAOS_ADAPTIVE_SITES,
     CHAOS_CRASH_SITES,
     CHAOS_FAIL_SITES,
+    CHAOS_GROUPS,
     CHAOS_MEMBER_SITES,
     CHAOS_NET_SITES,
     CHAOS_REPLICATION_SITES,
@@ -79,6 +80,7 @@ __all__ = [
     "sample_plan",
     "CHAOS_ADAPTIVE_SITES",
     "CHAOS_FAIL_SITES",
+    "CHAOS_GROUPS",
     "CHAOS_STALL_SITES",
     "CHAOS_CRASH_SITES",
     "CHAOS_MEMBER_SITES",

@@ -20,7 +20,7 @@ no split fleet, no leaked installation, journal and kernel agreeing.
 from __future__ import annotations
 
 from random import Random
-from typing import Optional, Sequence
+from typing import Callable, Dict, Iterable
 
 from .plan import FaultPlan
 from .registry import (
@@ -54,6 +54,7 @@ from .registry import (
 
 __all__ = [
     "sample_plan",
+    "CHAOS_GROUPS",
     "CHAOS_ADAPTIVE_SITES",
     "CHAOS_FAIL_SITES",
     "CHAOS_STALL_SITES",
@@ -147,134 +148,142 @@ CHAOS_NET_SITES = (SITE_NET_LINK_DELIVER, SITE_NET_PARTITION_FLIP)
 CHAOS_ADAPTIVE_SITES = (SITE_ADAPTIVE_DETECT, SITE_ADAPTIVE_PROPOSE)
 
 
-def sample_plan(
-    seed: int,
-    *,
-    max_rules: int = 4,
-    allow_crash: bool = True,
-    fail_sites: Sequence[str] = CHAOS_FAIL_SITES,
-    stall_sites: Sequence[str] = CHAOS_STALL_SITES,
-    crash_sites: Sequence[str] = CHAOS_CRASH_SITES,
-    member_sites: Sequence[str] = CHAOS_MEMBER_SITES,
-    replication_sites: Sequence[str] = (),
-    storage_sites: Sequence[str] = (),
-    traffic_sites: Sequence[str] = (),
-    net_sites: Sequence[str] = (),
-    adaptive_sites: Sequence[str] = (),
-    name: Optional[str] = None,
-) -> FaultPlan:
-    """Draw a chaos :class:`FaultPlan` from ``seed``.
+def _draw_replication(rng: Random, plan: FaultPlan) -> None:
+    # At most one single-shot rule keeps sampled plans survivable at
+    # replication factor 3: one site dies under the faulted operation,
+    # the group retains quorum.
+    plan.fail(
+        rng.choice(CHAOS_REPLICATION_SITES),
+        times=1,
+        after=rng.randint(0, 2),
+    )
 
-    The sampler's RNG is separate from the plan's own (which drives
-    ``probability`` rolls), so the *shape* of the plan is a pure
-    function of ``seed`` regardless of how often sites are hit.
-    """
-    rng = Random(seed)
-    plan = FaultPlan(seed=seed, name=name or f"chaos-{seed}")
-    crashed = False
-    for _ in range(rng.randint(2, max(2, max_rules))):
-        roll = rng.random()
-        if roll < 0.2 and allow_crash and not crashed:
-            crashed = True
-            plan.crash(
-                rng.choice(list(crash_sites)),
-                after=rng.randint(1, 3),
-                times=1,
-            )
-        elif roll < 0.35 and member_sites:
-            # A member outage: `times` is drawn large enough to outlast
-            # the coordinator's retry envelope some of the time, so the
-            # degraded path (quarantine + revert debt) actually runs.
-            plan.fail(
-                rng.choice(list(member_sites)),
-                times=rng.randint(1, 6),
-                after=rng.randint(0, 4),
-            )
-        elif roll < 0.6 and stall_sites:
-            plan.stall(
-                rng.choice(list(stall_sites)),
-                delay_ns=rng.choice((20_000, 50_000, 100_000)),
-                times=rng.randint(1, 3),
-                after=rng.randint(0, 2),
-            )
-        else:
-            plan.fail(
-                rng.choice(list(fail_sites)),
-                times=rng.randint(1, 2),
-                after=rng.randint(0, 3),
-            )
-    # The replication rule is drawn *after* the main loop so plans for
-    # existing seeds stay byte-identical when ``replication_sites`` is
-    # empty (the default).  At most one single-shot rule keeps sampled
-    # plans survivable at replication factor 3: one site dies under the
-    # faulted operation, the group retains quorum.
-    if replication_sites and rng.random() < 0.5:
-        plan.fail(
-            rng.choice(list(replication_sites)),
-            times=1,
-            after=rng.randint(0, 2),
-        )
-    # The storage rule is drawn after the replication rule for the same
-    # reason: ``storage_sites`` defaults empty, so plans for existing
-    # seeds stay byte-identical.  At most one single-shot bit-flip keeps
-    # the rot repairable: one copy goes bad, quorum peers stay clean.
-    if storage_sites and rng.random() < 0.5:
-        plan.fail(
-            rng.choice(list(storage_sites)),
-            times=1,
-            after=rng.randint(0, 3),
-        )
-    # The traffic rule is drawn last, again so plans for existing seeds
-    # stay byte-identical (``traffic_sites`` defaults empty).  A stall
-    # here is a timing shift, not an outage: one phase of the trace
-    # arrives up to 200µs early, which is enough to move a burst from
-    # "after the bake window" to "inside it".
-    if traffic_sites and rng.random() < 0.5:
-        plan.stall(
-            rng.choice(list(traffic_sites)),
-            delay_ns=rng.choice((50_000, 100_000, 200_000)),
-            times=1,
-            after=rng.randint(0, 2),
-        )
-    # The network rule is drawn last of all, once more so plans for
-    # existing seeds stay byte-identical (``net_sites`` defaults empty).
+
+def _draw_storage(rng: Random, plan: FaultPlan) -> None:
+    # At most one single-shot bit-flip keeps the rot repairable: one
+    # copy goes bad, quorum peers stay clean.
+    plan.fail(
+        rng.choice(CHAOS_STORAGE_SITES),
+        times=1,
+        after=rng.randint(0, 3),
+    )
+
+
+def _draw_traffic(rng: Random, plan: FaultPlan) -> None:
+    # A stall here is a timing shift, not an outage: one phase of the
+    # trace arrives up to 200µs early, which is enough to move a burst
+    # from "after the bake window" to "inside it".
+    plan.stall(
+        rng.choice(CHAOS_TRAFFIC_SITES),
+        delay_ns=rng.choice((50_000, 100_000, 200_000)),
+        times=1,
+        after=rng.randint(0, 2),
+    )
+
+
+def _draw_net(rng: Random, plan: FaultPlan) -> None:
     # A partition-flip rule is a *stall*: the faulted link goes dark for
     # the stall's duration of simulated time, then self-heals — sampled
     # chaos may split the fleet but can never strand it.  A link rule
     # drops or delays a bounded number of individual messages.
-    if net_sites and rng.random() < 0.5:
-        site = rng.choice(list(net_sites))
-        if site == SITE_NET_PARTITION_FLIP:
-            plan.stall(
-                site,
-                delay_ns=rng.choice((100_000, 200_000, 400_000)),
+    site = rng.choice(CHAOS_NET_SITES)
+    if site == SITE_NET_PARTITION_FLIP:
+        plan.stall(
+            site,
+            delay_ns=rng.choice((100_000, 200_000, 400_000)),
+            times=1,
+            after=rng.randint(0, 3),
+        )
+    elif rng.random() < 0.5:
+        plan.fail(site, times=rng.randint(1, 2), after=rng.randint(0, 3))
+    else:
+        plan.stall(
+            site,
+            delay_ns=rng.choice((5_000, 20_000, 50_000)),
+            times=rng.randint(1, 3),
+            after=rng.randint(0, 3),
+        )
+
+
+def _draw_adaptive(rng: Random, plan: FaultPlan) -> None:
+    # At most one single-shot rule: a fail skips one loop pass (detect)
+    # or aborts one proposal (propose); a stall delays the pass.  Either
+    # way the loop's no-unjudged-cull invariant must hold.
+    site = rng.choice(CHAOS_ADAPTIVE_SITES)
+    if rng.random() < 0.5:
+        plan.fail(site, times=1, after=rng.randint(0, 2))
+    else:
+        plan.stall(
+            site,
+            delay_ns=rng.choice((20_000, 50_000, 100_000)),
+            times=1,
+            after=rng.randint(0, 2),
+        )
+
+
+#: The optional site groups ``sample_plan(seed, extra=...)`` can arm, in
+#: the fixed order they draw.  Each armed group flips a coin after the
+#: main loop and on heads draws one rule, so arming groups only ever
+#: appends rules to a seed's plan.
+CHAOS_GROUPS: Dict[str, Callable[[Random, FaultPlan], None]] = {
+    "replication": _draw_replication,
+    "storage": _draw_storage,
+    "traffic": _draw_traffic,
+    "net": _draw_net,
+    "adaptive": _draw_adaptive,
+}
+
+
+def sample_plan(seed: int, extra: Iterable[str] = ()) -> FaultPlan:
+    """Draw a chaos :class:`FaultPlan` from ``seed``.
+
+    The main loop draws two to four rules from the fail, stall, crash
+    (at most one) and member sites; ``extra`` names the
+    :data:`CHAOS_GROUPS` that may add one rule each after it.  The
+    sampler's RNG is separate from the plan's own (which drives
+    ``probability`` rolls), so the *shape* of the plan is a pure
+    function of ``seed`` and ``extra`` regardless of how often sites
+    are hit.
+    """
+    armed = set(extra)
+    unknown = armed.difference(CHAOS_GROUPS)
+    if unknown:
+        raise ValueError(f"unknown chaos groups: {', '.join(sorted(unknown))}")
+    rng = Random(seed)
+    plan = FaultPlan(seed=seed, name=f"chaos-{seed}")
+    crashed = False
+    for _ in range(rng.randint(2, 4)):
+        roll = rng.random()
+        if roll < 0.2 and not crashed:
+            crashed = True
+            plan.crash(
+                rng.choice(CHAOS_CRASH_SITES),
+                after=rng.randint(1, 3),
                 times=1,
-                after=rng.randint(0, 3),
             )
-        elif rng.random() < 0.5:
-            plan.fail(site, times=rng.randint(1, 2), after=rng.randint(0, 3))
-        else:
-            plan.stall(
-                site,
-                delay_ns=rng.choice((5_000, 20_000, 50_000)),
-                times=rng.randint(1, 3),
-                after=rng.randint(0, 3),
+        elif roll < 0.35:
+            # A member outage: `times` is drawn large enough to outlast
+            # the coordinator's retry envelope some of the time, so the
+            # degraded path (quarantine + revert debt) actually runs.
+            plan.fail(
+                rng.choice(CHAOS_MEMBER_SITES),
+                times=rng.randint(1, 6),
+                after=rng.randint(0, 4),
             )
-    # The adaptation rule is drawn after every existing group, once
-    # more so plans for existing seeds stay byte-identical
-    # (``adaptive_sites`` defaults empty).  At most one single-shot
-    # rule: a fail skips one loop pass (detect) or aborts one proposal
-    # (propose); a stall delays the pass.  Either way the loop's
-    # no-unjudged-cull invariant must hold.
-    if adaptive_sites and rng.random() < 0.5:
-        site = rng.choice(list(adaptive_sites))
-        if rng.random() < 0.5:
-            plan.fail(site, times=1, after=rng.randint(0, 2))
-        else:
+        elif roll < 0.6:
             plan.stall(
-                site,
+                rng.choice(CHAOS_STALL_SITES),
                 delay_ns=rng.choice((20_000, 50_000, 100_000)),
-                times=1,
+                times=rng.randint(1, 3),
                 after=rng.randint(0, 2),
             )
+        else:
+            plan.fail(
+                rng.choice(CHAOS_FAIL_SITES),
+                times=rng.randint(1, 2),
+                after=rng.randint(0, 3),
+            )
+    for group, draw in CHAOS_GROUPS.items():
+        if group in armed and rng.random() < 0.5:
+            draw(rng, plan)
     return plan

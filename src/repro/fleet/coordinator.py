@@ -23,11 +23,12 @@ surviving.  A lost entry degrades "resume from wave K+1" into "unwind
 everything", which is safe; it can never produce a split fleet.
 
 **Degraded mode.**  Every member operation (submit, rollout, bake,
-revert, status) goes through a retry envelope (:meth:`FleetCoordinator.\
-_reach`); a member that stays unreachable becomes an ``UNREACHABLE``
-outcome feeding the verdict exactly like a breach (any-breach halts;
-quorum can complete degraded).  The lost member is quarantined, and
-anything the rollout had installed on it becomes **revert debt** —
+revert, status) crosses the coordinator's fabric inside a retry
+envelope (:meth:`FleetCoordinator._reach`); a member that stays
+unreachable becomes an ``UNREACHABLE`` outcome feeding the verdict
+exactly like a breach (any-breach halts; quorum can complete
+degraded).  The lost member is quarantined, and anything the rollout
+had installed on it becomes **revert debt** —
 journaled (``member-dead`` / ``quarantine`` / ``revert-debt`` events),
 retried with bounded backoff by :meth:`FleetCoordinator.drain_debt`,
 and drained by :meth:`FleetCoordinator.recover` once the member is
@@ -187,19 +188,11 @@ class FleetCoordinator:
         member_retries: how many times an unreachable member call is
             retried (on top of the first attempt) before the member is
             declared lost.  Epoch fences are never retried.
-        retry_backoff_ns: base of the exponential backoff between
-            retries (the member's own kernel is run forward — waiting
-            out a transient partition costs simulated time, not host
-            time).
-        fabric: optional :class:`~repro.netsim.Fabric` every member
-            call traverses (``client_id`` → kernel name).  A partitioned
+        fabric: the :class:`~repro.netsim.Fabric` every member call
+            traverses (``client_id`` → kernel name).  A partitioned
             link raises into the retry envelope as unreachable; delivery
-            latency runs the member's kernel forward.  ``None`` — the
-            default — keeps the legacy direct-call behaviour.
-        envelope: optional pre-built :class:`~repro.netsim.RpcEnvelope`;
-            by default one is assembled from ``member_retries`` /
-            ``retry_backoff_ns`` / ``rpc_timeout_ns`` / ``rpc_deadline_ns``
-            / ``rpc_jitter_seed``.
+            latency runs the member's kernel forward.  Defaults to a
+            fresh identity fabric (zero latency, every link up).
         rpc_timeout_ns: per-attempt delay budget — an attempt whose
             observed delay (fabric latency + injected stalls) exceeds it
             counts as unreachable for that attempt.
@@ -209,9 +202,6 @@ class FleetCoordinator:
             ``unreachable``.
         rpc_jitter_seed: seeds the envelope's backoff jitter (pass the
             plan seed so chaos runs stay replayable).
-        plan_append_retries: attempts for the plan-anchor journal write,
-            the one append that is not best-effort.
-        debt_drain_retries: attempts per entry in :meth:`drain_debt`.
         pooled_guard: optional guard evaluated per wave over the
             members' profiler evidence *summed* with
             :func:`~repro.controlplane.guards.pool_reports`.  A per-lock
@@ -241,6 +231,16 @@ PlacementRefresher`; consulted after each completed wave.  When it
             have any effect).
     """
 
+    #: Base of the exponential backoff between retries (the member's own
+    #: kernel is run forward — waiting out a transient partition costs
+    #: simulated time, not host time).
+    retry_backoff_ns = 20_000
+    #: Attempts for the plan-anchor journal write, the one append that
+    #: is not best-effort.
+    plan_append_retries = 3
+    #: Attempts per entry in :meth:`drain_debt`.
+    debt_drain_retries = 3
+
     def __init__(
         self,
         fleet: FleetManager,
@@ -248,16 +248,12 @@ PlacementRefresher`; consulted after each completed wave.  When it
         client_id: str = "fleet-coordinator",
         health=None,
         member_retries: int = 1,
-        retry_backoff_ns: int = 20_000,
-        plan_append_retries: int = 3,
-        debt_drain_retries: int = 3,
         pooled_guard: Optional[Guard] = None,
         wave_drift_guard: Optional[Guard] = None,
         ledger=None,
         refresher=None,
         planner=None,
         fabric: Optional[Fabric] = None,
-        envelope: Optional[RpcEnvelope] = None,
         rpc_timeout_ns: Optional[int] = None,
         rpc_deadline_ns: Optional[int] = None,
         rpc_jitter_seed: int = 0,
@@ -267,13 +263,10 @@ PlacementRefresher`; consulted after each completed wave.  When it
         self.client_id = client_id
         self.health = health
         self.member_retries = member_retries
-        self.retry_backoff_ns = retry_backoff_ns
-        self.plan_append_retries = plan_append_retries
-        self.debt_drain_retries = debt_drain_retries
-        self.fabric = fabric
-        self.envelope = envelope or RpcEnvelope(
+        self.fabric = fabric if fabric is not None else Fabric()
+        self.envelope = RpcEnvelope(
             retries=member_retries,
-            backoff_ns=retry_backoff_ns,
+            backoff_ns=self.retry_backoff_ns,
             timeout_ns=rpc_timeout_ns,
             deadline_ns=rpc_deadline_ns,
             seed=rpc_jitter_seed,
@@ -391,14 +384,12 @@ PlacementRefresher`; consulted after each completed wave.  When it
             op=op,
         )
         member = self.fleet.member(kernel)
-        delay = stall
-        if self.fabric is not None:
-            try:
-                delay += self.fabric.deliver(
-                    self.client_id, kernel, op=op, now_ns=member.kernel.now
-                )
-            except NetError as exc:
-                raise MemberUnreachable(f"network: {exc}") from exc
+        try:
+            delay = stall + self.fabric.deliver(
+                self.client_id, kernel, op=op, now_ns=member.kernel.now
+            )
+        except NetError as exc:
+            raise MemberUnreachable(f"network: {exc}") from exc
         if delay and self.envelope.timed_out(delay):
             # The caller stops waiting at the timeout — it never
             # observes the rest of the delay.
@@ -957,7 +948,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
         self._journal({"event": "reinstate", "kernel": name, "epoch": member.epoch})
         return member
 
-    def drain_debt(self, backoff_ns: Optional[int] = None) -> List[Dict[str, object]]:
+    def drain_debt(self) -> List[Dict[str, object]]:
         """Retry every outstanding revert whose member is back in
         service; returns the entries drained.
 
@@ -966,7 +957,6 @@ PlacementRefresher`; consulted after each completed wave.  When it
         member is still quarantined or gone stay booked — the journal
         keeps them across coordinator restarts.
         """
-        backoff_ns = backoff_ns or self.retry_backoff_ns
         drained: List[Dict[str, object]] = []
         for entry in list(self.debt):
             kernel = str(entry["kernel"])
@@ -991,7 +981,7 @@ PlacementRefresher`; consulted after each completed wave.  When it
                     if attempt < self.debt_drain_retries:
                         member.kernel.run(
                             until=member.kernel.now
-                            + self.envelope.backoff(attempt, base_ns=backoff_ns)
+                            + self.envelope.backoff(attempt)
                         )
             if failure is None:
                 self.debt.remove(entry)

@@ -24,11 +24,11 @@ the same SUSPECT → DEAD escalation, so persistent corruption reaches
 the coordinator's quarantine path through the very ``on_dead`` hook
 crash detection already uses.
 
-Consecutive probe failures escalate ``HEALTHY → SUSPECT → DEAD`` at
-configurable thresholds; one success resets to HEALTHY.  The monitor
-itself only *observes* — acting on a DEAD member (quarantine, revert
-debt) is the coordinator's job, wired through the ``on_dead`` callback
-so policy stays above mechanism.
+Consecutive probe failures escalate ``HEALTHY → SUSPECT → DEAD``
+(SUSPECT on the first, DEAD at ``dead_after``); one success resets to
+HEALTHY.  The monitor itself only *observes* — acting on a DEAD member
+(quarantine, revert debt) is the coordinator's job, wired through the
+``on_dead`` callback so policy stays above mechanism.
 
 :class:`MemberUnreachable` / :class:`EpochFenced` live here too: they
 are the vocabulary the coordinator's degraded path speaks, and the
@@ -94,65 +94,55 @@ class HealthMonitor:
 
     Args:
         fleet: the membership directory to watch.
-        probe_window_ns: how far the clock-advance check runs the
-            member's kernel (the probe's simulated time budget).
-        suspect_after: consecutive failures before HEALTHY → SUSPECT.
         dead_after: consecutive failures before → DEAD.
-        history_limit: probes retained per member (a heartbeat history
-            ring, newest last).
         on_dead: ``callback(name, cause)`` fired once per HEALTHY/
             SUSPECT → DEAD transition — typically
             :meth:`FleetCoordinator.quarantine`.
-        on_site_dead: ``callback(site_name, cause)`` fired when a
-            *replica site* probed via :meth:`probe_sites` escalates to
-            DEAD.  Defaults to failing the site in its group (which
-            fails over if it was the leader) — the replication twin of
-            quarantining a dead member.
         scrubber: optional :class:`~repro.storage.scrub.Scrubber`; when
             set, :meth:`probe_all` scrubs each member's store every
             ``scrub_every`` rounds and unhealed findings count as
             failed probes.
         scrub_every: scrub cadence, in :meth:`probe_all` rounds.
-        fabric: optional :class:`~repro.netsim.Fabric` probes traverse
+        fabric: the :class:`~repro.netsim.Fabric` probes traverse
             (``endpoint`` → member / site name).  A partitioned link is
             a failed probe — which is the point: a monitor on the wrong
             side of a partition walks the member to DEAD exactly as an
             external watchdog would, however alive the member is.
-        endpoint: the monitor's own name on the fabric.
+            Defaults to a fresh identity fabric.
     """
+
+    #: How far the clock-advance check runs the member's kernel (the
+    #: probe's simulated time budget).
+    probe_window_ns = 1_000
+    #: Consecutive failures before HEALTHY → SUSPECT.
+    suspect_after = 1
+    #: Probes retained per member (a heartbeat history ring, newest last).
+    history_limit = 64
+    #: The monitor's own name on the fabric.
+    endpoint = "health-monitor"
 
     def __init__(
         self,
         fleet: FleetManager,
-        probe_window_ns: int = 1_000,
-        suspect_after: int = 1,
         dead_after: int = 3,
-        history_limit: int = 64,
         on_dead: Optional[Callable[[str, str], object]] = None,
-        on_site_dead: Optional[Callable[[str, str], object]] = None,
         scrubber=None,
         scrub_every: int = 1,
         fabric: Optional[Fabric] = None,
-        endpoint: str = "health-monitor",
     ) -> None:
-        if not 1 <= suspect_after <= dead_after:
+        if dead_after < self.suspect_after:
             raise FleetError(
-                "thresholds must satisfy 1 <= suspect_after <= dead_after, "
-                f"got {suspect_after}/{dead_after}"
+                f"dead_after must be >= suspect_after ({self.suspect_after}), "
+                f"got {dead_after}"
             )
         self.fleet = fleet
-        self.probe_window_ns = probe_window_ns
-        self.suspect_after = suspect_after
         self.dead_after = dead_after
-        self.history_limit = history_limit
         self.on_dead = on_dead
-        self.on_site_dead = on_site_dead
         if scrub_every < 1:
             raise FleetError(f"scrub_every must be >= 1, got {scrub_every}")
         self.scrubber = scrubber
         self.scrub_every = scrub_every
-        self.fabric = fabric
-        self.endpoint = endpoint
+        self.fabric = fabric if fabric is not None else Fabric()
         self._rounds = 0
         self._history: Dict[str, Deque[ProbeRecord]] = {}
         self._failures: Dict[str, int] = {}
@@ -271,10 +261,10 @@ class HealthMonitor:
 
         Site probes ride the same escalation machinery as member probes
         (same thresholds, same history rings, keyed by site name); a
-        site that escalates to DEAD is failed in its group by default —
-        which elects a new leader if the casualty held the lease — or
-        handed to ``on_site_dead`` when configured.  Members without a
-        replica group probe as an empty dict.
+        site that escalates to DEAD is failed in its group — which
+        elects a new leader if the casualty held the lease, the
+        replication twin of quarantining a dead member.  Members without
+        a replica group probe as an empty dict.
         """
         member: FleetMember = self.fleet.member(name)
         group = getattr(member, "replica_group", None)
@@ -282,10 +272,7 @@ class HealthMonitor:
             return {}
 
         def site_dead(key: str, cause: str) -> None:
-            if self.on_site_dead is not None:
-                self.on_site_dead(key, cause)
-            else:
-                group.fail_site(key, cause=cause)
+            group.fail_site(key, cause=cause)
 
         records: Dict[str, ProbeRecord] = {}
         for site in list(group.sites):
@@ -301,11 +288,10 @@ class HealthMonitor:
             if getattr(site, "down_partitioned", False):
                 return False, "site down (partitioned, log intact)"
             return False, "site down"
-        if self.fabric is not None:
-            try:
-                self.fabric.deliver(self.endpoint, site.name, op="site-probe")
-            except NetError as exc:
-                return False, f"site partitioned: {exc}"
+        try:
+            self.fabric.deliver(self.endpoint, site.name, op="site-probe")
+        except NetError as exc:
+            return False, f"site partitioned: {exc}"
         try:
             fault_point(
                 SITE_REPLICATION_READ,
@@ -337,15 +323,14 @@ class HealthMonitor:
             # The probe window elapsed but the member's clock never
             # moved: a wedged kernel, reported as such.
             return False, f"probe: clock frozen for {stall}ns", when, epoch
-        if self.fabric is not None:
-            try:
-                latency = self.fabric.deliver(
-                    self.endpoint, name, op="probe", now_ns=member.kernel.now
-                )
-            except NetError as exc:
-                return False, f"probe: partitioned: {exc}", when, epoch
-            if latency:
-                member.kernel.run(until=member.kernel.now + latency)
+        try:
+            latency = self.fabric.deliver(
+                self.endpoint, name, op="probe", now_ns=member.kernel.now
+            )
+        except NetError as exc:
+            return False, f"probe: partitioned: {exc}", when, epoch
+        if latency:
+            member.kernel.run(until=member.kernel.now + latency)
         try:
             member.daemon.ping()
         except ControlPlaneError as exc:

@@ -12,8 +12,9 @@ that could actually split the network.
   with latency/jitter/drop/duplicate/reorder models,
   ``partition(groups)`` / ``heal()`` (symmetric and asymmetric), timed
   chaos partitions via the ``net.partition.flip`` / ``net.link.deliver``
-  fault sites.  A freshly built fabric is the identity network, which
-  is what keeps existing scenarios byte-identical.
+  fault sites.  A freshly built fabric is the identity network; every
+  fleet component builds one when it is given none, so all fleet
+  traffic crosses a fabric.
 * :mod:`.schedule` — :class:`PartitionSchedule`: seeded, serializable
   partition/heal event sequences applied as simulated time passes,
   replayable like :mod:`repro.traffic` traces.

@@ -9,11 +9,11 @@ destination's clock) or a :class:`~repro.netsim.errors.NetError`.
 Links are *directed* and lazily created, so a freshly constructed
 ``Fabric()`` is the identity network — every endpoint connected to
 every other at zero latency, no drops, no reordering.  That default is
-load-bearing: components take an optional fabric and behave
-byte-identically with a flat one, because a flat fabric draws no
-randomness and adds no delay.  Partitions, latency models, chaos
-faults, and schedules only change behaviour once someone configures
-them.
+load-bearing: the coordinator, the health monitor, and every replica
+group always cross a fabric, building a flat one when none is passed,
+and a flat fabric draws no randomness and adds no delay.  Partitions,
+latency models (:meth:`Fabric.set_model`), chaos faults, and schedules
+only change behaviour once someone configures them.
 
 **Partitions.**  :meth:`Fabric.partition` cuts the links between named
 groups; with ``asymmetric=True`` the first group still *hears* the
@@ -99,7 +99,6 @@ class Fabric:
             fabric whose models have no stochastic knobs never touches
             the RNG, so attaching one to an existing scenario perturbs
             nothing.
-        default_model: the model lazily-created links start with.
         schedule: optional :class:`~repro.netsim.schedule.\
 PartitionSchedule` applied as observed simulated time passes
             (:meth:`advance`).
@@ -108,11 +107,11 @@ PartitionSchedule` applied as observed simulated time passes
     def __init__(
         self,
         seed: int = 0,
-        default_model: LinkModel = LinkModel(),
         schedule=None,
     ) -> None:
         self._rng = Random(seed)
-        self.default_model = default_model
+        #: The model lazily-created links start with (see :meth:`set_model`).
+        self.default_model = LinkModel()
         self.endpoints: List[str] = []
         self._links: Dict[Tuple[str, str], Link] = {}
         self.schedule = schedule

@@ -2190,17 +2190,31 @@ def run_partition_scenario(args) -> int:
     )
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 #: Every option a scenario takes, declared once: its type (or action)
 #: and its usual help text.  ``_SUBCOMMANDS`` says which options each
 #: scenario takes, in order, with that scenario's default — and its own
 #: help text where the wording differs.
 _OPTIONS = {
-    "--sockets": dict(type=int),
-    "--cores": dict(type=int, help="cores per socket"),
+    "--sockets": dict(type=positive_int),
+    "--cores": dict(type=positive_int, help="cores per socket"),
     "--kernels": dict(type=int, help="fleet size (minimum 3)"),
     "--sites": dict(type=int, help="replication factor (minimum 3)"),
-    "--locks": dict(type=int, help="shard locks per busy kernel"),
-    "--tasks-per-lock": dict(type=int),
+    "--locks": dict(type=positive_int, help="shard locks per busy kernel"),
+    "--tasks-per-lock": dict(type=positive_int),
     "--cs-ns": dict(type=int, help="critical-section length"),
     "--duration-ms": dict(
         type=float, help="simulated workload duration in milliseconds"
@@ -2209,10 +2223,10 @@ _OPTIONS = {
         type=float, help="per-kernel SLO guard avg-wait regression budget"
     ),
     "--max-concurrent-kernels": dict(
-        type=int, help="wave width after the canary wave"
+        type=positive_int, help="wave width after the canary wave"
     ),
     "--quorum": dict(
-        type=float,
+        type=fraction,
         help="fraction of kernels that must pass for the degraded rollout",
     ),
     "--journal-dir": dict(

@@ -103,8 +103,8 @@ def shard_fleet(args, journal_dir: Optional[str] = None, fabric=None):
     running.  With ``journal_dir`` each member journals to its own file
     shard there and ``groups`` is empty.  Without, each journals to its
     own ``--sites``-way replica group (``groups[kI]``), whose traffic
-    crosses ``fabric`` (endpoint ``kI`` -> ``kI/siteJ``) when one is
-    given.
+    crosses ``fabric`` (endpoint ``kI`` -> ``kI/siteJ``), or the
+    group's own flat fabric when none is given.
     """
     fleet = FleetManager()
     groups: Dict[str, ReplicaGroup] = {}

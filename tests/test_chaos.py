@@ -86,6 +86,12 @@ def test_sampled_plan_is_deterministic(chaos_seed):
     assert 2 <= len(one.rules) <= 4
 
 
+def test_unknown_chaos_group_is_rejected():
+    # A misspelt group would otherwise arm nothing and pass silently.
+    with pytest.raises(ValueError, match="nett"):
+        sample_plan(3, extra=("nett",))
+
+
 def test_chaos_single_kernel_rollout(chaos_seed):
     """One daemon, one journal, a sampled adversary; after the dust
     settles and recovery runs, the kernel holds exactly what the
@@ -233,18 +239,18 @@ def assert_converged_and_debt_free(fleet, journal, policy):
 
 class TestAdaptiveChaosSampler:
     def test_existing_seeds_byte_identical(self):
-        # The adaptive rule is drawn after every other rule and gated on
-        # a default-empty site list, so pre-existing chaos seeds keep
-        # their exact plans.
+        # The adaptive rule is drawn after the main loop and only when
+        # its group is armed, so pre-existing chaos seeds keep their
+        # exact plans.
         for seed in (3, 11, 19, 23, 31, 42):
             before = sample_plan(seed)
-            after = sample_plan(seed, adaptive_sites=())
+            after = sample_plan(seed, extra=())
             assert [repr(r) for r in before.rules] == [repr(r) for r in after.rules]
 
     def test_adaptive_rule_only_appends(self):
         for seed in range(30):
             base = sample_plan(seed)
-            with_adaptive = sample_plan(seed, adaptive_sites=CHAOS_ADAPTIVE_SITES)
+            with_adaptive = sample_plan(seed, extra=("adaptive",))
             base_reprs = [repr(r) for r in base.rules]
             adaptive_reprs = [repr(r) for r in with_adaptive.rules]
             assert adaptive_reprs[: len(base_reprs)] == base_reprs
@@ -255,7 +261,7 @@ class TestAdaptiveChaosSampler:
 
     def test_some_seed_draws_an_adaptive_rule(self):
         drawn = sum(
-            len(sample_plan(seed, adaptive_sites=CHAOS_ADAPTIVE_SITES).rules)
+            len(sample_plan(seed, extra=("adaptive",)).rules)
             - len(sample_plan(seed).rules)
             for seed in range(30)
         )
@@ -332,7 +338,7 @@ def test_chaos_adaptive_loop_never_leaves_unjudged_cull(chaos_seed):
     _spawn_malthus(kernel, bench, 4, 4)
     kernel.run(until=kernel.now + 100_000)
 
-    plan = sample_plan(chaos_seed, adaptive_sites=CHAOS_ADAPTIVE_SITES)
+    plan = sample_plan(chaos_seed, extra=("adaptive",))
     died = False
     with injected(plan):
         try:

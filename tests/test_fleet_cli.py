@@ -66,6 +66,27 @@ def test_per_kernel_scenarios_require_a_kernel(capsys, scenario):
     assert f"error: {scenario} scenario needs --kernels >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rollout", "--cores", "0"],
+        ["rollout", "--sockets", "0"],
+        ["rollout", "--locks", "0"],
+        ["rollout", "--tasks-per-lock", "0"],
+        ["fleet", "--max-concurrent-kernels", "0"],
+        ["fleet-degraded", "--quorum", "1.5"],
+        ["fleet-degraded", "--quorum", "0"],
+    ],
+)
+def test_out_of_range_options_are_usage_errors(capsys, argv):
+    # Rejected by the parser, before any world is built: exit 2 and an
+    # error line, not a traceback from deep inside the scenario.
+    with pytest.raises(SystemExit) as exc:
+        concordd.main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {argv[1]}: " in capsys.readouterr().err
+
+
 def test_fleet_degraded_scenario_passes(capsys, tmp_path):
     code = concordd.main(
         [

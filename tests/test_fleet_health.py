@@ -102,7 +102,7 @@ def test_probe_healthy_member_heartbeats_its_journal():
 
 def test_probe_failures_escalate_and_success_resets():
     fleet = three_kernel_fleet()
-    monitor = HealthMonitor(fleet, suspect_after=1, dead_after=3)
+    monitor = HealthMonitor(fleet, dead_after=3)
     fault = FaultPlan(seed=1)
     fault.fail(SITE_FLEET_PROBE, times=3, match={"member": "k1"})
     with injected(fault):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.controlplane import PolicyJournal
 from repro.faults import (
-    CHAOS_NET_SITES,
     SITE_NET_LINK_DELIVER,
     SITE_NET_PARTITION_FLIP,
     FaultPlan,
@@ -53,9 +52,9 @@ def fleet_events(journal, event=None):
 # Coordinator over the fabric
 # ----------------------------------------------------------------------
 def test_flat_fabric_changes_nothing():
-    """A coordinator routed through an unconfigured fabric reaches the
-    same verdict with the same outcomes as one with no fabric — the
-    opt-in default is byte-identical."""
+    """A coordinator given an unconfigured fabric reaches the same
+    verdict with the same outcomes as one left to build its own — a
+    flat fabric draws no randomness and adds no delay."""
     bare_fleet = three_kernel_fleet()
     bare = FleetCoordinator(bare_fleet).execute(
         RolloutPlanner(**PLANNER).plan("numa-good", learn(bare_fleet)),
@@ -76,6 +75,30 @@ def test_flat_fabric_changes_nothing():
     assert bare.completed_waves == wired.completed_waves
     # The traffic really crossed the fabric — and none of it was lost.
     assert fabric.delivered > 0 and fabric.rejected == 0
+
+
+def test_coordinator_without_a_fabric_still_crosses_one():
+    """No ``fabric=`` still means a network: a message-drop rule on the
+    default fabric cuts k2 off, and the loss is journaled as a
+    classified ``rpc-exhausted`` like any other partition."""
+    fleet = three_kernel_fleet()
+    journal = PolicyJournal()
+    coord = FleetCoordinator(fleet, journal=journal)
+    plan = RolloutPlanner(**PLANNER).plan("numa-good", learn(fleet))
+
+    drop = FaultPlan(seed=1, name="drop-k2")
+    # Two drops outlast the envelope: first try + member_retries.
+    drop.fail(SITE_NET_LINK_DELIVER, times=2, match={"dst": "k2"})
+    with injected(drop):
+        rollout = coord.execute(plan, good_factory, **ROLLOUT_KWARGS)
+
+    assert rollout.unreachable_kernels() == ["k2"]
+    (exhausted,) = fleet_events(journal, "rpc-exhausted")
+    assert exhausted["kernel"] == "k2"
+    assert exhausted["classification"] == "unreachable"
+    assert exhausted["attempts"] == 2
+    assert "network" in exhausted["cause"]
+    assert coord.fabric.delivered > 0
 
 
 def test_partition_mid_rollout_quarantines_and_books_debt():
@@ -255,13 +278,13 @@ def test_any_healed_schedule_converges(seed):
 # Sampled network chaos (seeded via --chaos-seed)
 # ----------------------------------------------------------------------
 def test_net_sites_default_keeps_existing_plans_identical(chaos_seed):
-    """The chaos sampler's regression contract: with ``net_sites``
-    left empty, plans for existing seeds are byte-identical, and
-    enabling it only ever *appends* rules."""
+    """The chaos sampler's regression contract: with the ``net`` group
+    unarmed, plans for existing seeds are byte-identical, and arming it
+    only ever *appends* rules."""
     base = [repr(r) for r in sample_plan(chaos_seed).rules]
-    off = [repr(r) for r in sample_plan(chaos_seed, net_sites=()).rules]
+    off = [repr(r) for r in sample_plan(chaos_seed, extra=()).rules]
     assert base == off
-    wired = [repr(r) for r in sample_plan(chaos_seed, net_sites=CHAOS_NET_SITES).rules]
+    wired = [repr(r) for r in sample_plan(chaos_seed, extra=("net",)).rules]
     assert wired[: len(base)] == base
     assert len(wired) in (len(base), len(base) + 1)
 
@@ -278,7 +301,7 @@ def test_chaos_partitions_never_split_fleet_or_strand_debt(chaos_seed):
     )
     plan = RolloutPlanner(**PLANNER).plan("numa-good", learn(fleet))
 
-    chaos = sample_plan(chaos_seed, net_sites=CHAOS_NET_SITES)
+    chaos = sample_plan(chaos_seed, extra=("net",))
     with injected(chaos):
         try:
             coord.execute(plan, good_factory, **ROLLOUT_KWARGS)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.controlplane import PolicyState
 from repro.faults import (
-    CHAOS_REPLICATION_SITES,
     SITE_REPLICATION_APPEND,
     SITE_REPLICATION_READ,
     FaultPlan,
@@ -264,7 +263,7 @@ def test_chaos_replicated_rollout_invariants(chaos_seed):
     plan = RolloutPlanner(**PLANNER).plan("numa-good", placement)
     coord = FleetCoordinator(fleet, journal=journal)
 
-    chaos = sample_plan(chaos_seed, replication_sites=CHAOS_REPLICATION_SITES)
+    chaos = sample_plan(chaos_seed, extra=("replication",))
     victim = groups["k1"].leader.name
     chaos.fail(SITE_REPLICATION_APPEND, times=1, match={"replica": victim})
     outcome = None

@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from repro.controlplane import PolicyJournal, PolicyState
 from repro.controlplane.journal import JournalCorruption
 from repro.faults import (
-    CHAOS_STORAGE_SITES,
     SITE_STORAGE_CORRUPT_LINE,
     FaultPlan,
     InjectedCrash,
@@ -601,7 +600,7 @@ def test_chaos_storage_rot_is_scrubbed_without_losing_commits(chaos_seed):
     journal = fleet_group.journal()
     coord = FleetCoordinator(fleet, journal=journal)
 
-    chaos = sample_plan(chaos_seed, storage_sites=CHAOS_STORAGE_SITES)
+    chaos = sample_plan(chaos_seed, extra=("storage",))
     follower = next(
         s for s in groups["k1"].sites if s is not groups["k1"].leader
     )

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import (
-    CHAOS_TRAFFIC_SITES,
     FaultPlan,
     SITE_TRAFFIC_PHASE_SHIFT,
     injected,
@@ -295,18 +294,18 @@ class TestPhaseShiftFault:
 
 class TestChaosSampler:
     def test_existing_seeds_byte_identical(self):
-        # The traffic rule is drawn after every other rule and gated on
-        # a default-empty site list, so pre-existing chaos seeds keep
-        # their exact plans.
+        # The traffic rule is drawn after the main loop and only when
+        # its group is armed, so pre-existing chaos seeds keep their
+        # exact plans.
         for seed in (3, 11, 19, 23, 31, 42):
             before = sample_plan(seed)
-            after = sample_plan(seed, traffic_sites=())
+            after = sample_plan(seed, extra=())
             assert [repr(r) for r in before.rules] == [repr(r) for r in after.rules]
 
     def test_traffic_rule_only_appends(self):
         for seed in range(30):
             base = sample_plan(seed)
-            with_traffic = sample_plan(seed, traffic_sites=CHAOS_TRAFFIC_SITES)
+            with_traffic = sample_plan(seed, extra=("traffic",))
             base_reprs = [repr(r) for r in base.rules]
             traffic_reprs = [repr(r) for r in with_traffic.rules]
             assert traffic_reprs[: len(base_reprs)] == base_reprs
@@ -317,7 +316,7 @@ class TestChaosSampler:
 
     def test_some_seed_draws_a_traffic_rule(self):
         drawn = sum(
-            len(sample_plan(seed, traffic_sites=CHAOS_TRAFFIC_SITES).rules)
+            len(sample_plan(seed, extra=("traffic",)).rules)
             - len(sample_plan(seed).rules)
             for seed in range(30)
         )
