@@ -75,14 +75,29 @@ class Program:
         self.source = source
         #: trace() helper output: list of (sim_time, value).
         self.trace: List[Tuple[int, int]] = []
-        #: Set by the verifier on success.
-        self.verified = False
+        #: The compiled function the VM runs (see ``vm.compile_program``):
+        #: set by the verifier on success, cleared when it is entered.
+        self.compiled = None
         #: Cumulative VM statistics.
         self.run_count = 0
         self.insns_executed = 0
 
     def __len__(self) -> int:
         return len(self.insns)
+
+    @property
+    def verified(self) -> bool:
+        """Whether the last verification of this program succeeded."""
+        return self.compiled is not None
+
+    def content_key(self) -> tuple:
+        """Everything verification and compilation read: the
+        instructions, the context layout and the number of maps."""
+        return (
+            tuple((insn.op, insn.dst, insn.src, insn.off, insn.imm) for insn in self.insns),
+            self.ctx_layout.fields,
+            len(self.maps),
+        )
 
     def dis(self) -> str:
         return disassemble(self.insns)

@@ -26,6 +26,7 @@ user of the verification outcome" (Figure 1, step 4).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import VerificationError
@@ -49,10 +50,14 @@ from .insn import (
     STACK_SIZE,
 )
 from .program import Program
+from .vm import _ALU_DISPATCH, compile_program
 
 __all__ = ["Verifier", "VerifierReport", "MAX_INSNS"]
 
 MAX_INSNS = 4096
+#: Distinct (content, whitelist, size limit) acceptances kept.
+VERDICT_CACHE_SIZE = 128
+_VERDICTS: "OrderedDict[tuple, Tuple[Tuple[str, ...], object]]" = OrderedDict()
 
 # Abstract value kinds.
 UNINIT = "uninit"
@@ -156,6 +161,30 @@ class Verifier:
 
     # ------------------------------------------------------------------
     def verify(self, program: Program) -> VerifierReport:
+        """Prove ``program`` safe and compile it, or raise.
+
+        Verdicts are cached by content, helper whitelist and size limit:
+        a fleet verifies each distinct policy once.  Only acceptances
+        are cached; a rejected program is analysed again every time.
+        """
+        program.compiled = None
+        whitelist = None if self.allowed_helpers is None else frozenset(self.allowed_helpers)
+        key = (program.content_key(), whitelist, self.max_insns)
+        verdict = _VERDICTS.get(key)
+        if verdict is None:
+            log, states = self._analyse(program)
+            verdict = (tuple(log), compile_program(program, states))
+            _VERDICTS[key] = verdict
+            if len(_VERDICTS) > VERDICT_CACHE_SIZE:
+                _VERDICTS.popitem(last=False)
+        else:
+            _VERDICTS.move_to_end(key)
+        log, program.compiled = verdict
+        return VerifierReport(program, list(log), len(program.insns), len(program.insns))
+
+    def _analyse(self, program: Program) -> Tuple[List[str], Dict[int, _AbsState]]:
+        """The proof: the log and the abstract state before each
+        reachable pc."""
         log: List[str] = []
         insns = program.insns
         if not insns:
@@ -179,10 +208,8 @@ class Verifier:
             reachable += 1
             self._step(program, pc, insn, state, states, log)
 
-        report = VerifierReport(program, log, len(insns), len(insns))
-        program.verified = True
         log.append(f"verification OK: {reachable}/{len(insns)} insns reachable")
-        return report
+        return log, states
 
     # ------------------------------------------------------------------
     def _check_structure(self, program: Program, log: List[str]) -> None:
@@ -337,8 +364,6 @@ class Verifier:
             raise VerificationError(f"{pc}: pointer as ALU right-hand side", log)
         # scalar op scalar: constant-fold when both known.
         if dst[1] is not None and rhs[1] is not None:
-            from .vm import _ALU_DISPATCH  # reuse exact semantics
-
             return (SCALAR, _ALU_DISPATCH[op](dst[1], rhs[1]))
         return (SCALAR, None)
 

@@ -5,10 +5,12 @@ import ast
 from hypothesis import given, settings, strategies as st
 
 from repro import locks as L
-from repro.bpf import ContextLayout, VM, Verifier, compile_policy
+from repro.bpf import VM, Verifier, compile_policy
 from repro.locks.shfllock import ShflNode
 from repro.sim import Engine, Topology, ops
 from repro.sim.stats import Histogram, Summary
+
+from tests._bpf_corpus import EXPR_LAYOUT, expr, policy_source
 
 # ----------------------------------------------------------------------
 # 1. Mutual exclusion under randomized schedules, for every lock family.
@@ -161,40 +163,21 @@ def test_shuffle_preserves_membership(sockets, head_socket, window):
 # ----------------------------------------------------------------------
 # 4. Frontend/VM semantics match Python for random arithmetic programs.
 # ----------------------------------------------------------------------
-_LAYOUT = ContextLayout("prop", ["a", "b", "c"])
 _U64 = (1 << 64) - 1
-
-_terminal = st.sampled_from(["ctx.a", "ctx.b", "ctx.c", "1", "2", "7", "13"])
-_binop = st.sampled_from(["+", "-", "*", "&", "|", "^"])
-_cmp = st.sampled_from(["==", "!=", "<", ">", "<=", ">="])
-
-
-@st.composite
-def _expr(draw, depth=0):
-    if depth >= 3 or draw(st.booleans()):
-        return draw(_terminal)
-    kind = draw(st.integers(min_value=0, max_value=2))
-    left = draw(_expr(depth + 1))
-    right = draw(_expr(depth + 1))
-    if kind == 0:
-        return f"({left} {draw(_binop)} {right})"
-    if kind == 1:
-        return f"({left} {draw(_cmp)} {right})"
-    return f"(({left}) if ({draw(_expr(depth + 1))}) else ({right}))"
 
 
 @given(
-    expr=_expr(),
+    expr=expr(),
     a=st.integers(min_value=0, max_value=1 << 20),
     b=st.integers(min_value=0, max_value=1 << 20),
     c=st.integers(min_value=0, max_value=1 << 20),
 )
 @settings(max_examples=120, deadline=None)
 def test_frontend_matches_python(expr, a, b, c):
-    source = f"def f(ctx):\n    return {expr}\n"
-    program = compile_policy(source, _LAYOUT)
+    source = policy_source(expr)
+    program = compile_policy(source, EXPR_LAYOUT)
     Verifier().verify(program)
-    r0, _cost = VM().run(program, _LAYOUT.pack({"a": a, "b": b, "c": c}))
+    r0, _cost = VM().run(program, EXPR_LAYOUT.pack({"a": a, "b": b, "c": c}))
 
     class _Ctx:
         pass
@@ -210,11 +193,10 @@ def test_frontend_matches_python(expr, a, b, c):
 # ----------------------------------------------------------------------
 # 5. Everything the frontend emits passes the verifier.
 # ----------------------------------------------------------------------
-@given(expr=_expr())
+@given(expr=expr())
 @settings(max_examples=60, deadline=None)
 def test_frontend_output_always_verifies(expr):
-    source = f"def f(ctx):\n    return {expr}\n"
-    program = compile_policy(source, _LAYOUT)
+    program = compile_policy(policy_source(expr), EXPR_LAYOUT)
     Verifier().verify(program)  # must not raise
 
 
