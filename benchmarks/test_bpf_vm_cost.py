@@ -2,16 +2,18 @@
 
 Every program the library ships runs twice over the same seeded hook
 contexts: a verified copy, which the VM runs as its compiled function,
-and an unverified copy, which it interprets.  Both must return the same
-r0 and simulated cost on every context, since compiling changes host
-speed only.  Programs per host second for each path go to
-``results/BENCH_vm.json``.  The table in ``results/bpf_vm_cost.txt``
-holds only the simulated side (instructions and simulated ns per run),
-so it regenerates byte for byte.
+and an unverified copy, which the reference interpreter the tests use as
+their oracle (``tests/_bpf_oracle.py``) runs one instruction at a time.
+Both must return the same r0 and simulated cost on every context, since
+compiling changes host speed only.  Programs per host second for each
+path go to ``results/BENCH_vm.json``.  The table in
+``results/bpf_vm_cost.txt`` holds only the simulated side (instructions
+and simulated ns per run), so it regenerates byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -19,6 +21,7 @@ import time
 
 from repro.bpf import VM, Verifier
 
+from tests import _bpf_oracle as oracle
 from tests._bpf_corpus import LIBRARY
 
 from .conftest import RESULTS_DIR, run_once
@@ -38,14 +41,14 @@ def _contexts(layout):
     return [[rng.choice(_FIELD_VALUES) for _ in layout.fields] for _ in range(CONTEXTS)]
 
 
-def _runs_per_second(vm, program, contexts):
+def _runs_per_second(run, program, contexts):
     best = 0.0
     for _ in range(REPEATS):
         runs = 0
         start = time.perf_counter()
         while True:
             for ctx in contexts:
-                vm.run(program, ctx)
+                run(program, ctx)
             runs += len(contexts)
             elapsed = time.perf_counter() - start
             if elapsed >= MIN_SECONDS:
@@ -64,15 +67,17 @@ def _measure():
         sim_ns = 0
         for ctx in contexts:
             result = vm.run(compiled, ctx)
-            assert result == vm.run(interpreted, ctx), (name, ctx)
+            assert result == oracle.run(vm, interpreted, ctx), (name, ctx)
             sim_ns += result[1]
         assert compiled.insns_executed == interpreted.insns_executed, name
         rows[name] = {
             "insns": len(compiled.insns),
             "insns_per_run": compiled.insns_executed / CONTEXTS,
             "sim_ns_per_run": sim_ns / CONTEXTS,
-            "interpreted_per_s": _runs_per_second(vm, interpreted, contexts),
-            "compiled_per_s": _runs_per_second(vm, compiled, contexts),
+            "interpreted_per_s": _runs_per_second(
+                functools.partial(oracle.run, vm), interpreted, contexts
+            ),
+            "compiled_per_s": _runs_per_second(vm.run, compiled, contexts),
         }
     return rows
 

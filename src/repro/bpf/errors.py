@@ -25,11 +25,13 @@ class VerificationError(BPFError):
 
 
 class RuntimeFault(BPFError):
-    """A defense-in-depth runtime guard tripped during interpretation.
+    """A defense-in-depth runtime guard tripped while a program ran.
 
-    A verified program should never hit one of these; they exist so a
-    verifier bug cannot corrupt the simulated kernel (mirroring the real
-    kernel's belt-and-suspenders checks).
+    The VM's guards are the instruction budget, the R0-scalar check at
+    exit and the injectable ``bpf.vm.budget``/``bpf.helper`` fault
+    points.  A verified program should never trip the first two; they
+    exist so a verifier bug cannot corrupt the simulated kernel
+    (mirroring the real kernel's belt-and-suspenders checks).
     """
 
 

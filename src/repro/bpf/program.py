@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BPFError
-from .insn import Insn, disassemble
+from .insn import Insn
 from .maps import BPFMap
 
 __all__ = ["ContextLayout", "Program"]
@@ -98,9 +98,6 @@ class Program:
             self.ctx_layout.fields,
             len(self.maps),
         )
-
-    def dis(self) -> str:
-        return disassemble(self.insns)
 
     def __repr__(self) -> str:
         flag = "verified" if self.verified else "unverified"

@@ -1,4 +1,4 @@
-"""The BPF virtual machine: verified programs run compiled.
+"""The BPF virtual machine: only verified programs run, compiled.
 
 Executes a program against a packed context and returns ``(r0,
 cost_ns)`` where the cost models interpretation on the hook path: a
@@ -6,21 +6,22 @@ fixed trampoline-side entry cost plus a per-instruction charge plus each
 helper's own cost.  The per-instruction cost is a knob so the "revisit
 eBPF overhead" discussion in §6 can be explored as an ablation.
 
-Like the real kernel, which JITs a program once the verifier accepts
-it, the VM runs a verified program as one specialised Python function
+As in the paper's pipeline (compile, verify, load), only a verified
+program ever runs.  Like the real kernel, which JITs a program once the
+verifier accepts it, the VM runs it as one specialised Python function
 (:func:`compile_program`), built from the verifier's own proof; the
 verifier caches it with its verdict, so programs with the same content
-share it.  That is host speed
-only: the compiled function counts executed instructions per basic
-block, so the simulated cost above is exactly what interpretation
-charges.
+share it.  That is host speed only: the compiled function counts
+executed instructions per basic block, so the simulated cost above is
+exactly what interpretation charges.
 
-The interpreter runs unverified programs and is the reference oracle
-the compiled path is tested against.  Its runtime guards (instruction
-budget, memory bounds, type confusion) are defense-in-depth: a verified
-program cannot trip them, and the test suite asserts both halves of
-that statement.  The compiled path keeps the budget guard and turns the
-others into compile-time assertions on the verifier's states.
+The function keeps one runtime guard, the instruction budget (second
+line of defense behind the verifier's termination proof); memory bounds
+and type safety become compile-time assertions on the verifier's
+states.  Running an unverified program, or handing a program a context
+of another size than the layout the verifier checked, is a bug in the
+caller and raises :class:`BPFError`.  The test suite keeps a reference
+interpreter as the oracle the compiled path is tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .helpers import HELPER_IDS
 from .insn import (
     ALU_OPS,
     JMP_OPS,
-    NR_REGS,
     OP_CALL,
     OP_EXIT,
     OP_JA,
@@ -45,23 +45,20 @@ from .insn import (
     OP_STX,
     R0,
     R1,
-    R10,
     SIGNED_JMPS,
     STACK_SIZE,
 )
 from .program import Program
 
-__all__ = ["VM", "VMState", "DEFAULT_INSN_LIMIT", "compile_program"]
+__all__ = ["VM", "VMState", "ENTRY_COST_NS", "INSN_LIMIT", "compile_program"]
 
 _U64 = (1 << 64) - 1
 _SIGN = 1 << 63
 
-DEFAULT_INSN_LIMIT = 4096
-
-#: A context pointer value: base of the read-only ctx area.
-_CTX_BASE = 1 << 62
-#: Stack grows down from R10 == _STACK_TOP.
-_STACK_TOP = 1 << 61
+#: Fixed cost of entering a program (register save/restore, dispatch).
+ENTRY_COST_NS = 20
+#: Runtime instruction budget per run.
+INSN_LIMIT = 4096
 
 
 def _to_signed(value: int) -> int:
@@ -84,26 +81,15 @@ class VMState:
 
 
 class VM:
-    """Runs programs: compiled once verified, interpreted otherwise.
+    """Runs verified programs through their compiled functions.
 
     Args:
-        entry_cost_ns: fixed cost of entering the program (register
-            save/restore, dispatch).
         per_insn_ns: simulated interpretation cost per executed
-            instruction (charged on the compiled path too).
-        insn_limit: runtime instruction budget (second line of defense
-            behind the verifier's termination proof).
+            instruction.
     """
 
-    def __init__(
-        self,
-        entry_cost_ns: int = 20,
-        per_insn_ns: int = 2,
-        insn_limit: int = DEFAULT_INSN_LIMIT,
-    ) -> None:
-        self.entry_cost_ns = entry_cost_ns
+    def __init__(self, per_insn_ns: int = 2) -> None:
         self.per_insn_ns = per_insn_ns
-        self.insn_limit = insn_limit
 
     def run(
         self,
@@ -114,127 +100,31 @@ class VM:
     ) -> Tuple[int, int]:
         """Execute; returns (r0, simulated_cost_ns).
 
-        A verified program runs its compiled function; anything else,
-        or a context array that does not match the layout the verifier
-        checked, is interpreted.
+        Raises :class:`BPFError`, not :class:`RuntimeFault`, when the
+        program is unverified or ``ctx_values`` does not match its
+        context layout: Concord's circuit breaker absorbs runtime
+        faults, and neither is one.
         """
-        fault_point("bpf.vm.budget", default_exc=RuntimeFault, program=program.name)
         compiled = program.compiled
-        if compiled is not None and len(ctx_values) == len(program.ctx_layout.fields):
-            result, executed, helper_ns = compiled(
-                ctx_values, program, task, engine, self.insn_limit
+        if compiled is None:
+            raise BPFError(f"{program.name}: cannot run an unverified program")
+        if len(ctx_values) != len(program.ctx_layout.fields):
+            raise BPFError(
+                f"{program.name}: context of {len(ctx_values)} fields, "
+                f"layout {program.ctx_layout.name!r} has {len(program.ctx_layout.fields)}"
             )
-        else:
-            result, executed, helper_ns = self._interpret(program, ctx_values, task, engine)
+        fault_point("bpf.vm.budget", default_exc=RuntimeFault, program=program.name)
+        result, executed, helper_ns = compiled(ctx_values, program, task, engine, INSN_LIMIT)
         program.run_count += 1
         program.insns_executed += executed
         if not isinstance(result, int):
             raise RuntimeFault(f"{program.name}: R0 holds a non-scalar at exit")
-        return result & _U64, self.entry_cost_ns + helper_ns + executed * self.per_insn_ns
-
-    def _interpret(self, program: Program, ctx_values, task, engine) -> Tuple[Any, int, int]:
-        """The reference interpreter: (r0, executed insns, helper ns)."""
-        state = VMState(task, engine, program)
-        regs: List[Any] = [0] * NR_REGS
-        regs[R1] = _CTX_BASE
-        regs[R10] = _STACK_TOP
-        stack: List[Any] = [0] * (STACK_SIZE // 8)
-        insns = program.insns
-        nr_insns = len(insns)
-        pc = 0
-        executed = 0
-        helper_ns = 0
-
-        while True:
-            if pc < 0 or pc >= nr_insns:
-                raise RuntimeFault(f"{program.name}: pc {pc} out of range")
-            if executed >= self.insn_limit:
-                raise _budget_fault(program, self.insn_limit)
-            insn = insns[pc]
-            executed += 1
-            op = insn.op
-
-            if op == OP_MOV:
-                regs[insn.dst] = regs[insn.src] if insn.src is not None else insn.imm & _U64
-            elif op == OP_LDC:
-                regs[insn.dst] = insn.imm & _U64
-            elif op in _ALU_DISPATCH:
-                rhs = regs[insn.src] if insn.src is not None else insn.imm & _U64
-                regs[insn.dst] = _ALU_DISPATCH[op](regs[insn.dst], rhs)
-            elif op == OP_LDX:
-                regs[insn.dst] = self._load(program, ctx_values, stack, regs[insn.src], insn.off)
-            elif op == OP_STX:
-                self._store(stack, regs[insn.dst], insn.off, regs[insn.src])
-            elif op == OP_ST:
-                self._store(stack, regs[insn.dst], insn.off, insn.imm & _U64)
-            elif op == OP_JA:
-                pc += insn.off
-                continue
-            elif op in _JMP_DISPATCH:
-                rhs = regs[insn.src] if insn.src is not None else insn.imm & _U64
-                if _JMP_DISPATCH[op](regs[insn.dst], rhs):
-                    pc += insn.off
-                    continue
-            elif op == OP_CALL:
-                spec = HELPER_IDS.get(insn.imm)
-                if spec is None:
-                    raise RuntimeFault(f"{program.name}: unknown helper #{insn.imm}")
-                args = [regs[R1 + i] for i in range(spec.nargs)]
-                fault_point(
-                    "bpf.helper",
-                    default_exc=RuntimeFault,
-                    program=program.name,
-                    helper=spec.name,
-                )
-                result = spec.fn(state, args)
-                regs[R0] = result & _U64 if isinstance(result, int) else result
-                for i in range(1, 6):
-                    regs[i] = 0  # caller-saved registers are clobbered
-                helper_ns += spec.cost_ns
-            elif op == OP_LD_MAP:
-                if not 0 <= insn.imm < len(program.maps):
-                    raise RuntimeFault(f"{program.name}: bad map index {insn.imm}")
-                regs[insn.dst] = program.maps[insn.imm]
-            elif op == OP_EXIT:
-                return regs[R0], executed, helper_ns
-            else:
-                raise RuntimeFault(f"{program.name}: illegal opcode {op!r}")
-            pc += 1
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _load(program: Program, ctx_values, stack, base, off: int):
-        if not isinstance(base, int):
-            raise RuntimeFault("load from a non-pointer value")
-        addr = base + off
-        if _CTX_BASE <= addr < _CTX_BASE + len(ctx_values) * 8:
-            rel = addr - _CTX_BASE
-            if rel % 8:
-                raise RuntimeFault("unaligned context read")
-            return ctx_values[rel // 8]
-        if _STACK_TOP - STACK_SIZE <= addr < _STACK_TOP:
-            rel = addr - (_STACK_TOP - STACK_SIZE)
-            if rel % 8:
-                raise RuntimeFault("unaligned stack read")
-            return stack[rel // 8]
-        raise RuntimeFault(f"load from invalid address {hex(addr)}")
-
-    @staticmethod
-    def _store(stack, base, off: int, value) -> None:
-        if not isinstance(base, int):
-            raise RuntimeFault("store to a non-pointer value")
-        addr = base + off
-        if _STACK_TOP - STACK_SIZE <= addr < _STACK_TOP:
-            rel = addr - (_STACK_TOP - STACK_SIZE)
-            if rel % 8:
-                raise RuntimeFault("unaligned stack write")
-            stack[rel // 8] = value
-            return
-        raise RuntimeFault(f"store to invalid address {hex(addr)} (context is read-only)")
+        return result & _U64, ENTRY_COST_NS + helper_ns + executed * self.per_insn_ns
 
 
 # ----------------------------------------------------------------------
-# ALU / JMP semantics (u64 with eBPF quirks: div/mod by zero -> 0)
+# ALU semantics (u64 with eBPF quirks: div/mod by zero -> 0); the
+# verifier folds constants with them
 # ----------------------------------------------------------------------
 def _need_int(value):
     if not isinstance(value, int):
@@ -258,20 +148,6 @@ _ALU_DISPATCH = {
 }
 assert set(_ALU_DISPATCH) == set(ALU_OPS)
 
-_JMP_DISPATCH = {
-    "jeq": lambda a, b: a == b,
-    "jne": lambda a, b: a != b,
-    "jgt": lambda a, b: _need_int(a) > _need_int(b),
-    "jge": lambda a, b: _need_int(a) >= _need_int(b),
-    "jlt": lambda a, b: _need_int(a) < _need_int(b),
-    "jle": lambda a, b: _need_int(a) <= _need_int(b),
-    "jsgt": lambda a, b: _to_signed(_need_int(a)) > _to_signed(_need_int(b)),
-    "jsge": lambda a, b: _to_signed(_need_int(a)) >= _to_signed(_need_int(b)),
-    "jslt": lambda a, b: _to_signed(_need_int(a)) < _to_signed(_need_int(b)),
-    "jsle": lambda a, b: _to_signed(_need_int(a)) <= _to_signed(_need_int(b)),
-    "jset": lambda a, b: bool(_need_int(a) & _need_int(b)),
-}
-assert set(_JMP_DISPATCH) == set(JMP_OPS)
 
 
 # ----------------------------------------------------------------------
@@ -292,8 +168,9 @@ def compile_program(program: Program, states: Dict[int, Any]) -> Callable:
     reachable pc).  The function reads maps and the name from its
     ``program`` argument at run time, so the verifier's verdict cache can
     hand one function to every program with equal content.  It is called
-    as ``fn(ctx_values, program, task, engine, insn_limit)`` and returns
-    ``(r0, executed_insns, helper_cost_ns)``.
+    as ``fn(ctx_values, program, task, engine, limit)``, where ``limit`` is
+    the instruction budget, and returns ``(r0, executed_insns,
+    helper_cost_ns)``.
     """
     source, helper_ids = _generate(program, states)
     namespace: Dict[str, Any] = {}
@@ -325,7 +202,8 @@ def _alu_src(op: str, a: str, b) -> Optional[str]:
 
 
 def _jmp_src(op: str, a: str, b) -> str:
-    """Source of ``_JMP_DISPATCH[op](a, b)`` on scalars."""
+    """Source of the condition of jump ``op`` on scalars (eBPF jump
+    semantics: u64 compares, signed ones on two's complement)."""
     if op == "jset":
         return f"{a} & {b}"
     if op in SIGNED_JMPS:
@@ -455,7 +333,7 @@ def _generate(program: Program, states: Dict[int, Any]) -> Tuple[str, List[int]]
             body.append(f"        if nx == {start}:")
         # The budget is charged per segment, a block split after each
         # helper call, so a run that exhausts it stops before the same
-        # side effects as under the interpreter.
+        # side effects as under the reference interpreter.
         segment = start
         for pc in range(start, end):
             if pc not in states:

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bpf.errors import BPFError, RuntimeFault, VerificationError
 from ..bpf.frontend import compile_policy
-from ..bpf.vm import VM
+from ..bpf.vm import ENTRY_COST_NS, VM
 from ..kernel.core import Kernel
 from ..locks.base import HookSet, Lock
 from ..locks.switchable import SwitchableLock, SwitchableRWLock
@@ -49,7 +49,7 @@ class Concord:
     Args:
         kernel: the kernel whose locks we modify.
         dispatch_ns: per-hook-invocation trampoline + dispatch cost.
-        vm: optionally share/tune the BPF interpreter (cost knobs).
+        vm: optionally share/tune the BPF VM (per-instruction cost).
         fault_threshold: runtime circuit breaker — a policy whose hook
             programs raise this many :class:`RuntimeFault`\\ s is
             auto-detached (fail-open: the lock falls back to stock
@@ -230,38 +230,6 @@ class Concord:
             self._notify("attached", f"{name}: extended to {len(fresh)} more lock(s)")
         return fresh
 
-    def detach_policy(self, name: str, lock_names: Sequence[str]) -> List[str]:
-        """Detach a loaded policy from a subset of its locks (canary
-        rollback).  The program stays pinned and loaded."""
-        loaded = self.policies.get(name)
-        if loaded is None:
-            raise BPFError(f"policy {name!r} is not loaded")
-        removed = []
-        for lock_name in lock_names:
-            if lock_name not in loaded.attached_locks:
-                continue
-            chain = self._chains.get(lock_name, {}).get(loaded.spec.hook, [])
-            if loaded in chain:
-                chain.remove(loaded)
-            loaded.attached_locks.remove(lock_name)
-            self._rebuild_hookset(lock_name)
-            removed.append(lock_name)
-        if removed:
-            self._notify("detached", f"{name}: detached from {len(removed)} lock(s)")
-        return removed
-
-    def replace_policy(self, spec: PolicySpec) -> LoadedPolicy:
-        """Atomically swap a loaded policy for a new version.
-
-        The new program is verified *before* the old one is detached, so
-        a rejected replacement leaves the running policy untouched.
-        """
-        self.verify_policy(spec)
-        old = self.policies.get(spec.name)
-        targets = list(old.attached_locks) if old is not None else None
-        self.unload_policy(spec.name)
-        return self.load_policy(spec, targets=targets)
-
     def chain(self, lock_name: str, hook: str) -> Tuple[LoadedPolicy, ...]:
         """The live policy chain on ``(lock, hook)`` (admission checks)."""
         return tuple(self._chains.get(lock_name, {}).get(hook, ()))
@@ -338,7 +306,7 @@ class Concord:
                 return fn(env)
             except RuntimeFault as exc:
                 self._on_policy_fault(loaded, exc)
-                return 0, self.vm.entry_cost_ns
+                return 0, ENTRY_COST_NS
 
         return guarded
 

@@ -124,11 +124,6 @@ class LockDelta(NamedTuple):
     canary_avg_hold_ns: float
     canary_acquired: int
 
-    def wait_regression(self, floor_ns: float) -> float:
-        """Relative avg-wait regression, guarding tiny baselines."""
-        base = max(self.baseline_avg_wait_ns, floor_ns)
-        return (self.canary_avg_wait_ns - base) / base
-
 
 class GuardVerdict:
     """A guard's decision plus everything needed to explain it.

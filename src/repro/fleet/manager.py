@@ -255,12 +255,6 @@ restart`): whatever happened while it was out — reboots, manual
                 matches[member.name] = names
         return matches
 
-    def restart_all(self) -> None:
-        """Restart every member daemon (the whole control plane process
-        died; the kernels live on)."""
-        for member in self.members():
-            member.restart()
-
     def __contains__(self, name: str) -> bool:
         return name in self._members
 

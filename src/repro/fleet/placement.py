@@ -203,12 +203,6 @@ class PlacementMap:
         hot locks count 4, warm 2, cold 1."""
         return sum(p.weight for p in self._by_kernel.get(kernel, ()))
 
-    def by_lock(self, kernel: str, lock_name: str) -> Optional[LockPlacement]:
-        for placement in self._by_kernel.get(kernel, ()):
-            if placement.lock_name == lock_name:
-                return placement
-        return None
-
     def drift(self, other: "PlacementMap") -> float:
         """Weighted fraction of placements that changed between maps.
 

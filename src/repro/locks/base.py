@@ -197,10 +197,6 @@ class Lock:
         yield Delay(hooks.dispatch_ns + cost_ns)
         return value
 
-    def _hot(self, hook: str) -> bool:
-        """True when firing this hook would do any work at all."""
-        return self.hooks is not None
-
     def __repr__(self) -> str:
         state = f"held_by={self._owner.name}" if self._owner else "free"
         return f"{type(self).__name__}({self.name}, {state})"

@@ -75,11 +75,6 @@ class CPU:
     def busy(self) -> bool:
         return self.current is not None
 
-    def best_waiting_priority(self) -> Optional[int]:
-        if not self.runqueue:
-            return None
-        return max(task.priority for task in self.runqueue)
-
     def __repr__(self) -> str:
         cur = self.current.name if self.current else "idle"
         return f"CPU({self.cpu_id}, current={cur}, rq={len(self.runqueue)})"

@@ -13,9 +13,9 @@ generators and must be driven with ``yield from``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, List, Optional
+from typing import Deque, Iterator, Optional
 
-from .ops import Delay, Park, ParkTimeout, Unpark
+from .ops import Park, ParkTimeout, Unpark
 from .task import Task
 
 __all__ = ["WaitQueue", "Barrier", "Completion"]
@@ -69,9 +69,6 @@ class WaitQueue:
             target = self._sleepers.popleft()
             yield Unpark(target)
 
-    def peek_all(self) -> List[Task]:
-        return list(self._sleepers)
-
 
 class Barrier:
     """A single-use start barrier for ``n`` tasks.
@@ -113,8 +110,3 @@ class Completion:
     def complete_all(self, task: Task) -> Iterator:
         self.done = True
         yield from self._queue.wake_all(task)
-
-    def poll_wait(self, task: Task, interval_ns: int = 1000) -> Iterator:
-        """Spin-wait variant for tasks that must not park."""
-        while not self.done:
-            yield Delay(interval_ns)

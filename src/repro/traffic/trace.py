@@ -64,19 +64,10 @@ class Trace:
                 seen.append(ev.phase)
         return seen
 
-    def events_in(self, phase: str) -> List[TraceEvent]:
-        return [ev for ev in self.events if ev.phase == phase]
-
     def counts_by_phase(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for ev in self.events:
             out[ev.phase] = out.get(ev.phase, 0) + 1
-        return out
-
-    def counts_by_tenant(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for ev in self.events:
-            out[ev.tenant] = out.get(ev.tenant, 0) + 1
         return out
 
     # -- canonical serialization --------------------------------------

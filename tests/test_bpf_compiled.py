@@ -1,11 +1,12 @@
-"""Compiled BPF against the interpreter, and the verifier's verdict cache.
+"""Compiled BPF against the reference interpreter, and the verdict cache.
 
-A verified program runs as one compiled Python function; an unverified
-one is interpreted.  The interpreter is the oracle: for random
-arithmetic programs, every ALU/JMP opcode and every program the library
-builds, both paths must agree on r0, simulated cost, run statistics,
-map contents, ``trace`` output, the engine's rng stream and fault
-behaviour.
+``VM.run`` runs only verified programs, each as one compiled Python
+function, and refuses anything else.  The interpreter in
+``tests/_bpf_oracle.py`` is the oracle: for random arithmetic programs,
+every ALU/JMP opcode and every program the library builds, a verified
+copy run by the VM and an unverified copy run by the oracle must agree
+on r0, simulated cost, run statistics, map contents, ``trace`` output,
+the engine's rng stream and fault behaviour.
 """
 
 import random
@@ -49,6 +50,7 @@ from repro.concord.verifier import ConcordVerifier
 from repro.faults import FaultPlan, injected
 from repro.locks.base import HOOK_CMP_NODE, HOOK_LOCK_ACQUIRED
 
+from tests import _bpf_oracle as oracle
 from tests._bpf_corpus import EXPR_LAYOUT, LIBRARY, expr, policy_source
 
 U64 = (1 << 64) - 1
@@ -66,7 +68,7 @@ def _empty_cache():
 # ----------------------------------------------------------------------
 def _pair(build):
     """Two copies of a program, each with its own maps: the first
-    verified (compiled), the second left to the interpreter."""
+    verified (compiled), the second left unverified for the oracle."""
     compiled, interpreted = build(), build()
     Verifier().verify(compiled)
     assert compiled.compiled is not None and interpreted.compiled is None
@@ -94,9 +96,17 @@ def _ctx_values(rng, layout):
     ]
 
 
+def _run(vm, program, ctx, task=None, engine=None):
+    """A verified copy through ``vm.run``, an unverified one through the
+    oracle at ``vm``'s per-instruction cost."""
+    if program.verified:
+        return vm.run(program, list(ctx), task=task, engine=engine)
+    return oracle.run(vm, program, list(ctx), task=task, engine=engine)
+
+
 def _outcome(vm, program, ctx, task, engine):
     try:
-        return vm.run(program, list(ctx), task=task, engine=engine)
+        return _run(vm, program, ctx, task, engine)
     except RuntimeFault as exc:
         return ("fault", str(exc))
 
@@ -137,8 +147,8 @@ def test_random_programs_match_interpreter(expression, a, b, c):
     source = policy_source(expression)
     compiled, interpreted = _pair(lambda: compile_policy(source, EXPR_LAYOUT))
     ctx = EXPR_LAYOUT.pack({"a": a, "b": b, "c": c})
-    vm = VM(entry_cost_ns=7, per_insn_ns=3)
-    assert vm.run(compiled, ctx) == vm.run(interpreted, ctx)
+    vm = VM(per_insn_ns=3)
+    assert vm.run(compiled, ctx) == oracle.run(vm, interpreted, ctx)
     assert compiled.insns_executed == interpreted.insns_executed
 
 
@@ -179,7 +189,7 @@ def test_every_opcode_matches_interpreter(op, form):
             imm = b if form == "imm" else None
             compiled, interpreted = _pair(lambda: _op_program(op, imm))
             ctx = [a, b]
-            assert vm.run(compiled, ctx) == vm.run(interpreted, ctx), (op, form, a, b)
+            assert vm.run(compiled, ctx) == oracle.run(vm, interpreted, ctx), (op, form, a, b)
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +215,7 @@ PROGRAMS = dict(LIBRARY, **{"helper-tour": _helper_tour})
 def test_library_program_matches_interpreter(name):
     build = PROGRAMS[name]
     assert_same_runs(build, seed=1)
-    assert_same_runs(build, seed=2, entry_cost_ns=3, per_insn_ns=11)
+    assert_same_runs(build, seed=2, per_insn_ns=11)
 
 
 def test_library_calls_every_helper():
@@ -228,9 +238,18 @@ def _waited(program):
     return program
 
 
-def _fault_outcome(program, ctx, plan, **vm_kwargs):
+def _fault_outcome(program, ctx, plan, limit=None):
+    """One run under ``plan``; given an instruction budget ``limit``, the
+    compiled function or ``oracle.interpret`` is called directly."""
     with injected(plan):
-        outcome = _outcome(VM(**vm_kwargs), program, ctx, None, None)
+        if limit is None:
+            outcome = _outcome(VM(), program, ctx, None, None)
+        else:
+            fn = program.compiled if program.verified else oracle.interpret
+            try:
+                outcome = fn(list(ctx), program, None, None, limit)
+            except RuntimeFault as exc:
+                outcome = ("fault", str(exc))
     return outcome, dict(plan.fired), list(plan.log), _map_state(program)
 
 
@@ -252,12 +271,15 @@ def test_every_budget_stops_at_the_same_point():
     ctx = _ACQUIRED().ctx_layout.pack({"tid": 4, "now_ns": 50_000, "lock_id": 2})
     for program in (compiled, interpreted):
         _waited(program)
+    finished = [0, 0]  # direct calls keep no run statistics: count here
     for limit in range(0, len(compiled.insns) + 2):
-        got = _fault_outcome(compiled, ctx, FaultPlan(), insn_limit=limit)
-        want = _fault_outcome(interpreted, ctx, FaultPlan(), insn_limit=limit)
+        got = _fault_outcome(compiled, ctx, FaultPlan(), limit=limit)
+        want = _fault_outcome(interpreted, ctx, FaultPlan(), limit=limit)
         assert got == want, limit
+        finished[0] += got[0][0] != "fault"
+        finished[1] += want[0][0] != "fault"
     assert got[0][0] != "fault"  # the largest budget lets the run finish
-    assert compiled.run_count == interpreted.run_count > 0
+    assert finished[0] == finished[1] > 0
 
 
 def test_budget_fault_point_fires_once_per_run():
@@ -267,30 +289,17 @@ def test_budget_fault_point_fires_once_per_run():
         plan = FaultPlan()
         plan.fail("bpf.vm.budget", after=2, times=1)
         with injected(plan):
-            VM().run(program, list(ctx))
-            VM().run(program, list(ctx))
+            _run(VM(), program, ctx)
+            _run(VM(), program, ctx)
             with pytest.raises(RuntimeFault):
-                VM().run(program, list(ctx))
+                _run(VM(), program, ctx)
         assert plan.hits["bpf.vm.budget"] == 3
 
 
 # ----------------------------------------------------------------------
-# Which path runs
+# Only verified programs run
 # ----------------------------------------------------------------------
-def _spy_interpreter(monkeypatch):
-    calls = []
-    original = VM._interpret
-
-    def spy(self, program, *args):
-        calls.append(program.name)
-        return original(self, program, *args)
-
-    monkeypatch.setattr(VM, "_interpret", spy)
-    return calls
-
-
-def test_equal_content_shares_one_function(monkeypatch):
-    calls = _spy_interpreter(monkeypatch)
+def test_equal_content_shares_one_function():
     first, second = _pair(LIBRARY["priority"])
     Verifier().verify(second)
     assert first.compiled is second.compiled
@@ -299,27 +308,38 @@ def test_equal_content_shares_one_function(monkeypatch):
     ctx = layout.pack({"curr_tid": 7})
     assert VM().run(first, list(ctx))[0] == 1
     assert VM().run(second, list(ctx))[0] == 0
-    assert calls == []
 
 
-def test_context_of_another_shape_is_interpreted(monkeypatch):
-    calls = _spy_interpreter(monkeypatch)
+def _refused(program, ctx, match):
+    """``VM.run`` raises a BPFError that is no RuntimeFault (the circuit
+    breaker must not absorb it) and leaves the run statistics alone."""
+    runs = program.run_count
+    with pytest.raises(BPFError, match=match) as info:
+        VM().run(program, ctx)
+    assert not isinstance(info.value, RuntimeFault)
+    assert program.run_count == runs
+
+
+def test_unverified_program_is_refused():
+    program = compile_policy(policy_source("ctx.a + ctx.b"), EXPR_LAYOUT)
+    _refused(program, [1, 2, 3], "unverified")
+    assert oracle.run(VM(), program, [1, 2, 3])[0] == 3
+
+
+def test_context_of_another_size_is_refused():
     program = compile_policy(policy_source("ctx.a + ctx.b"), EXPR_LAYOUT)
     Verifier().verify(program)
     assert VM().run(program, [1, 2, 3])[0] == 3
-    assert calls == []
-    assert VM().run(program, [1, 2, 3, 4])[0] == 3
-    with pytest.raises(RuntimeFault, match="invalid address"):
-        VM().run(program, [1])
-    assert calls == [program.name, program.name]
+    _refused(program, [1, 2, 3, 4], "4 fields")
+    _refused(program, [1], "1 fields")
+    assert program.run_count == 1
 
 
 def _ktime_program():
     return Program("clock", [Insn(OP_CALL, imm=3), Insn(OP_EXIT)], EXPR_LAYOUT)
 
 
-def test_rejected_program_loses_its_verified_state(monkeypatch):
-    calls = _spy_interpreter(monkeypatch)
+def test_rejected_program_loses_its_verified_state():
     program = _ktime_program()
     Verifier().verify(program)
     assert program.verified and program.compiled is not None
@@ -330,8 +350,8 @@ def test_rejected_program_loses_its_verified_state(monkeypatch):
     with pytest.raises(BPFError, match="unverified"):
         BpfFS().pin("clock", program)
     engine = SimpleNamespace(now=42)
-    assert VM().run(program, EXPR_LAYOUT.pack({}), engine=engine)[0] == 42
-    assert calls == ["clock"]
+    _refused(program, EXPR_LAYOUT.pack({}), "unverified")
+    assert oracle.run(VM(), program, EXPR_LAYOUT.pack({}), engine=engine)[0] == 42
 
 
 def test_compiler_refuses_unproven_facts():

@@ -1,8 +1,21 @@
-"""BPF VM semantics: ALU, jumps, memory, helpers, runtime guards, costs."""
+"""BPF VM semantics: ALU, jumps, memory, helpers, runtime guards, costs.
+
+Programs the verifier accepts run through ``VM.run``.  The runtime-guard
+tests build programs it rejects, so they run through the reference
+interpreter (``tests/_bpf_oracle.py``), which keeps those guards.
+"""
 
 import pytest
 
-from repro.bpf import ContextLayout, HashMap, Program, RuntimeFault, VM
+from repro.bpf import (
+    ContextLayout,
+    HashMap,
+    Program,
+    RuntimeFault,
+    VerificationError,
+    Verifier,
+    VM,
+)
 from repro.bpf.insn import (
     Insn,
     OP_CALL,
@@ -21,15 +34,30 @@ from repro.bpf.insn import (
     R10,
 )
 
+from tests import _bpf_oracle as oracle
+
 LAYOUT = ContextLayout("test", ["a", "b", "c"])
 U64 = (1 << 64) - 1
 
 
-def run(insns, ctx=None, maps=None, task=None, engine=None, **vm_kwargs):
+def _verified(insns, maps=None):
     program = Program("t", insns, LAYOUT, maps=maps)
-    vm = VM(**vm_kwargs)
-    values = LAYOUT.pack(ctx or {})
-    return vm.run(program, values, task=task, engine=engine)
+    Verifier().verify(program)
+    return program
+
+
+def run(insns, ctx=None, maps=None, task=None, engine=None):
+    """Verify the program, then run it through the VM."""
+    program = _verified(insns, maps)
+    return VM().run(program, LAYOUT.pack(ctx or {}), task=task, engine=engine)
+
+
+def interpret(insns, ctx=None):
+    """Run a program the verifier rejects through the oracle."""
+    program = Program("t", insns, LAYOUT)
+    with pytest.raises(VerificationError):
+        Verifier().verify(program)
+    return oracle.run(VM(), program, LAYOUT.pack(ctx or {}))
 
 
 class TestALU:
@@ -162,7 +190,7 @@ class TestMemory:
 
     def test_ctx_write_faults(self):
         with pytest.raises(RuntimeFault):
-            run(
+            interpret(
                 [
                     Insn(OP_LDC, dst=R2, imm=1),
                     Insn(OP_STX, dst=R1, src=R2, off=0),
@@ -172,7 +200,7 @@ class TestMemory:
 
     def test_out_of_bounds_stack_faults(self):
         with pytest.raises(RuntimeFault):
-            run(
+            interpret(
                 [
                     Insn(OP_LDX, dst=R0, src=R10, off=-10_000),
                     Insn(OP_EXIT),
@@ -181,7 +209,7 @@ class TestMemory:
 
     def test_wild_pointer_faults(self):
         with pytest.raises(RuntimeFault):
-            run(
+            interpret(
                 [
                     Insn(OP_LDC, dst=R2, imm=0xDEAD),
                     Insn(OP_LDX, dst=R0, src=R2, off=0),
@@ -226,7 +254,7 @@ class TestHelpersAndMaps:
             Insn(OP_EXIT),
         ]
         with pytest.raises(RuntimeFault):
-            run(insns)
+            interpret(insns)
 
     def test_helpers_clobber_caller_saved(self):
         """R1-R5 are dead after a call; R0 has the result."""
@@ -235,21 +263,22 @@ class TestHelpersAndMaps:
             Insn(OP_MOV, dst=R0, src=R2),  # r2 was cleared to 0
             Insn(OP_EXIT),
         ]
-        r0, _ = run(insns)
+        r0, _ = interpret(insns)  # the verifier rejects reading r2
         assert r0 == 0
 
     def test_unknown_helper_faults(self):
         with pytest.raises(RuntimeFault):
-            run([Insn(OP_CALL, imm=999), Insn(OP_EXIT)])
+            interpret([Insn(OP_CALL, imm=999), Insn(OP_EXIT)])
 
 
 class TestGuardsAndCosts:
     def test_instruction_budget(self):
         # A tight legal loop cannot be built (forward jumps only), so
         # drive the budget down below a straight-line program's length.
-        insns = [Insn(OP_LDC, dst=R0, imm=0)] * 50 + [Insn(OP_EXIT)]
-        with pytest.raises(RuntimeFault):
-            run(insns, insn_limit=10)
+        # The compiled function takes the budget as an argument.
+        program = _verified([Insn(OP_LDC, dst=R0, imm=0)] * 50 + [Insn(OP_EXIT)])
+        with pytest.raises(RuntimeFault, match="budget"):
+            program.compiled(LAYOUT.pack({}), program, None, None, 10)
 
     def test_cost_scales_with_instructions(self):
         short = [Insn(OP_LDC, dst=R0, imm=0), Insn(OP_EXIT)]
@@ -266,7 +295,7 @@ class TestGuardsAndCosts:
         assert c2 > c1
 
     def test_run_stats_accumulate(self):
-        program = Program("t", [Insn(OP_LDC, dst=R0, imm=0), Insn(OP_EXIT)], LAYOUT)
+        program = _verified([Insn(OP_LDC, dst=R0, imm=0), Insn(OP_EXIT)])
         vm = VM()
         vm.run(program, LAYOUT.pack({}))
         vm.run(program, LAYOUT.pack({}))

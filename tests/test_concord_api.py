@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bpf import VM, compile_policy
+from repro.bpf import BPFError, RuntimeFault, VM, Verifier, compile_policy
 from repro.concord.api import (
     CMP_NODE_LAYOUT,
     EVENT_IDS,
@@ -46,7 +46,9 @@ class TestLayouts:
 
 class TestHookFn:
     def _program(self, source, hook):
-        return compile_policy(source, LAYOUT_FOR_HOOK[hook])
+        program = compile_policy(source, LAYOUT_FOR_HOOK[hook])
+        Verifier().verify(program)
+        return program
 
     def test_layout_mismatch_rejected(self):
         program = self._program("def f(ctx):\n    return 0\n", HOOK_CMP_NODE)
@@ -119,6 +121,27 @@ class TestHookFn:
         kernel.spawn(run, cpu=0)
         kernel.run()
         assert result["event"] == EVENT_IDS[HOOK_LOCK_ACQUIRED]
+
+    def test_unverified_program_raises_when_fired(self, kernel):
+        program = compile_policy(
+            "def f(ctx):\n    return ctx.lock_id\n", LAYOUT_FOR_HOOK[HOOK_LOCK_ACQUIRED]
+        )
+        fn = make_hook_fn(HOOK_LOCK_ACQUIRED, program, VM(), lambda lock: 1)
+        lock = ShflLock(kernel.engine, name="x")
+        raised = []
+
+        def run(task):
+            yield ops.Delay(1)
+            try:
+                fn({"task": task, "lock": lock})
+            except BPFError as exc:
+                raised.append(exc)
+
+        kernel.spawn(run, cpu=0)
+        kernel.run()
+        assert len(raised) == 1 and not isinstance(raised[0], RuntimeFault)
+        assert "unverified" in str(raised[0])
+        assert program.run_count == 0
 
     def test_lock_id_resolver_used(self, kernel):
         program = self._program("def f(ctx):\n    return ctx.lock_id\n", HOOK_LOCK_ACQUIRED)
